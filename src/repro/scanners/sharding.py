@@ -45,7 +45,6 @@ from ..webpki.population import (
     build_resolver_for,
     deployments_for_range,
 )
-from ..webpki.tranco import generate_tranco_list
 from .compression_scanner import CompressionObservation, CompressionScanner
 from .https_scanner import CertificateRecord, HttpsScanner, HttpsScanResult, ScanFunnel
 from .qscanner import CertificateComparison, QScanner, QuicCertificateRecord
@@ -193,8 +192,8 @@ class ShardTask:
             return self.deployments
         if self.population_config is None:
             raise ValueError("shard task carries neither deployments nor a config")
-        tranco = _cached_tranco(self.population_config.size, seed=self.population_config.seed)
         if self.skeleton_cache_dir is not None:
+            # The store builds the ranked list only on a miss.
             from .skeleton_store import deployments_for_range as cached_range, store_for
 
             return tuple(
@@ -203,12 +202,9 @@ class ShardTask:
                     self.population_config,
                     self.start,
                     self.stop,
-                    tranco=tranco,
                 )
             )
-        return tuple(
-            deployments_for_range(self.population_config, self.start, self.stop, tranco=tranco)
-        )
+        return tuple(deployments_for_range(self.population_config, self.start, self.stop))
 
     def scenario_fingerprint(self) -> str:
         """Fingerprint of the scenario this shard is scanned under.
@@ -238,7 +234,6 @@ class ShardTask:
             return self.resolve_deployments()
         if self.population_config is None:
             raise ValueError("shard task carries neither deployments nor a config")
-        tranco = _cached_tranco(self.population_config.size, seed=self.population_config.seed)
         if self.skeleton_cache_dir is not None:
             from .skeleton_store import skeletons_for_range, store_for
 
@@ -248,21 +243,14 @@ class ShardTask:
                     self.population_config,
                     self.start,
                     self.stop,
-                    tranco=tranco,
                 )
             )
         return tuple(
             deployments_for_range(
-                self.population_config, self.start, self.stop, tranco=tranco, skeleton=True
+                self.population_config, self.start, self.stop, skeleton=True
             )
         )
 
-
-#: Per-process memo of the (names-only) ranked list, so a worker that scans
-#: several shards of the same population regenerates it once.  The memo now
-#: lives on ``generate_tranco_list`` itself (every regeneration path shares
-#: it); the alias keeps this module's call sites self-describing.
-_cached_tranco = generate_tranco_list
 
 #: Deployment list published for fork-started workers.  Set by
 #: :func:`run_sharded_scan` immediately before the pool forks; child processes

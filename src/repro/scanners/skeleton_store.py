@@ -25,19 +25,24 @@ The store reuses the checkpoint store's proven durability shape
 (:mod:`repro.core.ioutil` carries the shared parser):
 
 * **Content-addressed filenames** embedding a digest of
-  ``(seed, size, shard_size, population-config fingerprint, shard_index)``
-  (:class:`SkeletonKey`), so one directory can hold shards of several
-  populations — a grid whose members carry ``population_overrides`` warms
-  one entry per distinct generation config — without ever confusing them.
-* **Atomic, self-verifying files**: ``repro-skel/1 <len> <sha256>`` header,
+  ``(seed, size, shard_size, population-config fingerprint, shard_index,
+  zlib runtime version)`` (:class:`SkeletonKey`), so one directory can hold
+  shards of several populations — a grid whose members carry
+  ``population_overrides`` warms one entry per distinct generation config —
+  without ever confusing them.  The zlib version is part of the address
+  because the leaf annex stores DEFLATE lengths that zlib computed: a store
+  written under another zlib build misses instead of serving its lengths.
+* **Atomic, self-verifying files**: ``repro-skel/2 <len> <sha256>`` header,
   tmp-file + ``os.replace`` writes, deterministic payload codec
   (:func:`~repro.webpki.skeleton.encode_skeleton_shard`).  A torn, corrupt,
   foreign or stale-format file fails verification, is quarantined (kept as
   evidence, never trusted) and its shard is simply regenerated — the cache
   is an optimisation, never a source of truth.
-* **Directory binding**: ``skeletons.json`` records ``(seed, size,
+* **Directory binding**: ``skeletons.json`` records ``(format, seed, size,
   generation shard size)``; warming a directory for a different population
-  is rejected with an actionable error instead of quietly interleaving.
+  is rejected with an actionable error instead of quietly interleaving.  A
+  directory written under an older format is upgraded in place: its entries
+  are quarantined and regenerated on demand.
 
 Because the payload codec is deterministic and python-version independent
 (no pickle), the files double as the interchange format the ROADMAP's
@@ -52,6 +57,7 @@ import hashlib
 import json
 import os
 import struct
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -76,13 +82,20 @@ from ..webpki.skeleton import (
     decode_skeleton_shard,
     encode_skeleton_shard,
 )
+from ..tls.cert_compression import chain_deflate_size
+from ..webpki.deployment import ServiceCategory
 from ..x509.ca import WebPkiHierarchy, default_hierarchy
 from ..x509.chain import CertificateChain
 from ..x509.issuance import leaf_from_record, leaf_record, leaf_template
 
 #: Skeleton file format tag; bump on any incompatible layout change so old
-#: files are quarantined (and regenerated) instead of misparsed.
-SKELETON_FORMAT = b"repro-skel/1"
+#: files are quarantined (and regenerated) instead of misparsed.  Version 2
+#: added the DEFLATE-length column to the issued-leaf annex.
+SKELETON_FORMAT = b"repro-skel/2"
+
+#: Earlier format tags a directory binding may carry; binding such a
+#: directory upgrades it (see :meth:`SkeletonStore.bind`).
+OLDER_SKELETON_FORMATS = ("repro-skel/1",)
 
 #: Name of the per-directory population metadata file.
 STORE_METADATA_FILENAME = "skeletons.json"
@@ -177,9 +190,11 @@ class SkeletonKey:
     index: int
 
     def digest(self) -> str:
+        # The zlib build is read at call time, not import time, so the address
+        # always names the library that computes this process's lengths.
         material = (
             f"{self.seed}|{self.size}|{self.shard_size}|"
-            f"{self.population_fingerprint}|{self.index}"
+            f"{self.population_fingerprint}|{self.index}|{zlib.ZLIB_RUNTIME_VERSION}"
         )
         return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
@@ -207,13 +222,22 @@ class SkeletonKey:
 ChainCache = Dict[ChainSpec, CertificateChain]
 
 
-def _iter_specs(shard: SkeletonShard) -> Iterator[ChainSpec]:
-    """Every chain spec of a shard, in the deterministic annex order."""
+def _iter_specs(shard: SkeletonShard) -> Iterator[Tuple[ChainSpec, bool]]:
+    """Every chain spec of a shard, in the deterministic annex order.
+
+    Each spec comes with whether its chain is the one a QUIC-category
+    skeleton delivers over QUIC (``DomainDeployment.delivered_chain``): the
+    chains the columnar kernel measures DEFLATE for, and so the ones the
+    annex stores a DEFLATE length for.
+    """
     for skeleton in shard.skeletons:
-        if skeleton.https_spec is not None:
-            yield skeleton.https_spec
-        if skeleton.quic_spec is not None:
-            yield skeleton.quic_spec
+        quic = skeleton.category is ServiceCategory.QUIC
+        https_spec = skeleton.https_spec
+        quic_spec = skeleton.quic_spec
+        if https_spec is not None:
+            yield https_spec, quic and (skeleton.quic_shares_https or quic_spec is None)
+        if quic_spec is not None:
+            yield quic_spec, quic and not skeleton.quic_shares_https
 
 
 def _encode_leaf_annex(
@@ -229,6 +253,12 @@ def _encode_leaf_annex(
     singleton recoverable from the spec).  Missing chains are issued here, so
     encoding from a cold run reuses the chains the campaign materialises
     anyway when the caller shares ``chain_cache``.
+
+    Chains a QUIC-category skeleton delivers over QUIC also store their raw
+    DEFLATE length (0 for every other chain; zlib output is never empty).
+    :func:`~repro.tls.cert_compression.chain_deflate_size` memoizes it on the
+    shared chain instance, so a cold run pays the zlib pass here instead of
+    in the kernel, and a warm run pays it never.
     """
     der_lens: List[int] = []
     tbs_lens: List[int] = []
@@ -236,6 +266,7 @@ def _encode_leaf_annex(
     ski_lens: List[int] = []
     san_lens: List[int] = []
     sct_lens: List[int] = []
+    deflate_lens: List[int] = []
     serials = bytearray()
     rows: List[int] = []
     ders: List[bytes] = []
@@ -243,10 +274,11 @@ def _encode_leaf_annex(
     sans: List[bytes] = []
     scts: List[bytes] = []
     count = 0
-    for spec in _iter_specs(shard):
+    for spec, delivers_quic in _iter_specs(shard):
         chain = chain_cache.get(spec)
         if chain is None:
             chain = chain_cache[spec] = spec.materialize(hierarchy)
+        deflate_lens.append(chain_deflate_size(chain) if delivers_quic else 0)
         der, tbs_len, sig_len, serial, ski, san, sct, row = leaf_record(chain.leaf)
         der_lens.append(len(der))
         tbs_lens.append(tbs_len)
@@ -269,6 +301,7 @@ def _encode_leaf_annex(
     out += struct.pack(f"<{count}H", *ski_lens)
     out += struct.pack(f"<{count}H", *san_lens)
     out += struct.pack(f"<{count}H", *sct_lens)
+    out += struct.pack(f"<{count}I", *deflate_lens)
     out += serials
     out += struct.pack(f"<{7 * count}I", *rows)
     for blobs in (ders, skis, sans, scts):
@@ -283,8 +316,11 @@ def _decode_leaf_annex(
     shard: SkeletonShard,
     hierarchy: WebPkiHierarchy,
 ) -> ChainCache:
-    """Rebuild the shard's chain cache from its issued-leaf annex."""
-    specs = list(_iter_specs(shard))
+    """Rebuild the shard's chain cache from its issued-leaf annex.
+
+    Stored DEFLATE lengths seed each chain's ``_deflate_size`` memo.
+    """
+    specs = [spec for spec, _ in _iter_specs(shard)]
     (count,) = struct.unpack_from("<I", payload, pos)
     pos += 4
     if count != len(specs):
@@ -303,6 +339,8 @@ def _decode_leaf_annex(
     pos += 2 * count
     sct_lens = struct.unpack_from(f"<{count}H", payload, pos)
     pos += 2 * count
+    deflate_lens = struct.unpack_from(f"<{count}I", payload, pos)
+    pos += 4 * count
     serials = payload[pos : pos + 16 * count]
     pos += 16 * count
     rows = struct.unpack_from(f"<{7 * count}I", payload, pos)
@@ -357,11 +395,13 @@ def _decode_leaf_annex(
             rows[7 * i : 7 * i + 7],
         )
         if spec.bloat_extras or spec.trim_to is not None:
-            cache[spec] = spec.assemble(leaf, hierarchy)
+            chain = spec.assemble(leaf, hierarchy)
         else:
             chain = chain_new(CertificateChain)
-            chain.__dict__.update({"certificates": (leaf,) + delivered})
-            cache[spec] = chain
+            chain.__dict__["certificates"] = (leaf,) + delivered
+        if deflate_lens[i]:
+            chain.__dict__["_deflate_size"] = deflate_lens[i]
+        cache[spec] = chain
     return cache
 
 
@@ -506,6 +546,11 @@ class SkeletonStore:
         fractions.  A mismatch is an actionable error, not a silent miss:
         pointing ``--skeleton-cache`` at a directory warmed for a different
         population is almost certainly an operator mistake.
+
+        A directory bound under an older format tag but the same
+        population is upgraded instead: every entry is quarantined (none can
+        pass verification under the new format) and the binding rewritten,
+        so the shards regenerate on demand.
         """
         expected = {
             "format": SKELETON_FORMAT.decode("ascii"),
@@ -513,6 +558,7 @@ class SkeletonStore:
             "size": config.size,
             "generation_shard_size": GENERATION_SHARD_SIZE,
         }
+        found = None
         if os.path.exists(self.metadata_path):
             try:
                 with open(self.metadata_path, "r", encoding="utf-8") as handle:
@@ -525,7 +571,14 @@ class SkeletonStore:
             mismatched = sorted(
                 name for name, value in expected.items() if found.get(name) != value
             )
-            if mismatched:
+            if mismatched == ["format"] and found.get("format") in OLDER_SKELETON_FORMATS:
+                for name in self.entries():
+                    try:
+                        self.quarantine(os.path.join(self.directory, name))
+                    except FileNotFoundError:
+                        pass  # a concurrent binder moved it first
+                found = None  # rewritten below under the current format
+            elif mismatched:
                 described = ", ".join(
                     f"{name}: {found.get(name)!r} != {expected[name]!r}"
                     for name in mismatched
@@ -535,7 +588,7 @@ class SkeletonStore:
                     f"different population ({described}); point --skeleton-cache at "
                     "a fresh directory or rerun with the original parameters"
                 )
-        else:
+        if found is None:
             atomic_write_text(
                 self.metadata_path,
                 json.dumps(expected, indent=2, sort_keys=True) + "\n",
@@ -598,7 +651,6 @@ class SkeletonStore:
         self,
         config: PopulationConfig,
         shard_index: int,
-        tranco=None,
         populate: bool = True,
     ) -> Tuple[SkeletonShard, Optional[ChainCache]]:
         """One generation shard of the *baseline* population, cache-first.
@@ -639,7 +691,8 @@ class SkeletonStore:
             return loaded
         self.misses += 1
         _CACHE_COUNTERS["misses"] += 1
-        tranco = tranco or generate_tranco_list(config.size, seed=config.seed)
+        # The ranked list is only needed to generate, so only a miss builds it.
+        tranco = generate_tranco_list(config.size, seed=config.seed)
         shard_start = shard_index * GENERATION_SHARD_SIZE
         domains = tranco.domains[shard_start : shard_start + GENERATION_SHARD_SIZE]
         base = config if config.scenario is None else dataclasses.replace(
@@ -752,14 +805,13 @@ def warm(
         else dataclasses.replace(config, scenario=None)
     )
     store.bind(base)
-    tranco = generate_tranco_list(base.size, seed=base.seed)
     hits = misses = 0
     indices = (
         range(shard_count(base.size)) if shard_indices is None else shard_indices
     )
     for index in indices:
         before = store.hits
-        store.load_or_generate(base, index, tranco=tranco)
+        store.load_or_generate(base, index)
         if store.hits > before:
             hits += 1
         else:
@@ -779,7 +831,6 @@ def skeletons_for_range(
     config: PopulationConfig,
     start: int,
     stop: int,
-    tranco=None,
     chain_cache: Optional[ChainCache] = None,
 ):
     """Cache-first counterpart of ``deployments_for_range(..., skeleton=True)``.
@@ -806,11 +857,10 @@ def skeletons_for_range(
         else dataclasses.replace(config, scenario=None)
     )
     store.bind(base)
-    tranco = tranco or generate_tranco_list(base.size, seed=base.seed)
     skeletons: List = []
     for shard_index in _covering_shards(start, stop):
         shard, cache = store.load_or_generate(
-            base, shard_index, tranco=tranco, populate=chain_cache is not None
+            base, shard_index, populate=chain_cache is not None
         )
         if cache and chain_cache is not None:
             chain_cache.update(cache)
@@ -829,7 +879,6 @@ def deployments_for_range(
     config: PopulationConfig,
     start: int,
     stop: int,
-    tranco=None,
     chain_cache: Optional[ChainCache] = None,
 ):
     """Cache-first counterpart of ``deployments_for_range`` (materialised).
@@ -851,12 +900,11 @@ def deployments_for_range(
         else dataclasses.replace(config, scenario=None)
     )
     store.bind(base)
-    tranco = tranco or generate_tranco_list(base.size, seed=base.seed)
     if chain_cache is None:
         chain_cache = {}
     skeletons: List = []
     for shard_index in _covering_shards(start, stop):
-        shard, cache = store.load_or_generate(base, shard_index, tranco=tranco)
+        shard, cache = store.load_or_generate(base, shard_index)
         if cache:
             chain_cache.update(cache)
         shard_start = shard_index * GENERATION_SHARD_SIZE
@@ -923,10 +971,13 @@ def generate_population_cached(
     ``(config, range)`` to workers).
     """
     from ..webpki.population import InternetPopulation
+    from ..webpki.tranco import TrancoList
 
     config = config or PopulationConfig()
-    tranco = generate_tranco_list(config.size, seed=config.seed)
-    deployments = deployments_for_range(store, config, 0, config.size, tranco=tranco)
+    deployments = deployments_for_range(store, config, 0, config.size)
+    # Deployments keep the ranked list's names in rank order (scenarios never
+    # rename), so a warm store rebuilds the list without generating it.
+    tranco = TrancoList(tuple(deployment.domain for deployment in deployments))
     population = InternetPopulation(config=config, tranco=tranco, deployments=deployments)
     population._shard_regenerable = True
     return population

@@ -319,7 +319,8 @@ def category_counts(skeletons) -> Dict[ServiceCategory, int]:
 # Enum and builtin-profile columns store indices into the fixed orderings
 # below.  Any change to those orderings, the field set, or the column layout
 # is an incompatible format change: bump the store's format tag
-# (``repro-skel/1``) so stale files quarantine instead of misparse.
+# (``skeleton_store.SKELETON_FORMAT``) so stale files quarantine instead of
+# misparse.
 
 class SkeletonCodecError(ValueError):
     """Shard bytes failed deterministic decoding (foreign or malformed payload)."""

@@ -36,6 +36,13 @@ class Validity:
         return encode_sequence(encode_utc_time(self.not_before), encode_utc_time(self.not_after))
 
 
+#: The fields a ``_deferred`` leaf record postpones (see
+#: :meth:`Certificate.__getattr__`).
+_DEFERRED_FIELDS = frozenset(
+    ("subject", "public_key", "validity", "extensions", "tbs_der", "signature_value")
+)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """An encoded certificate plus the structured description it came from.
@@ -76,6 +83,9 @@ class Certificate:
 
     @property
     def key_algorithm(self) -> KeyAlgorithm:
+        record = self.__dict__.get("_deferred")
+        if record is not None:
+            return record[0].key_algorithm  # the leaf template's algorithm
         return self.public_key.algorithm
 
     def fingerprint(self) -> str:
@@ -109,19 +119,23 @@ class Certificate:
         # never reads (subject DN, public key, validity, extension tuple,
         # TBS and signature slices); the first access to any of them expands
         # the record into ``__dict__`` and the instance behaves like a fresh
-        # one.  The import is deferred to break the issuance→certificate
-        # cycle; expansion is rare, so its cost is irrelevant.
+        # one.  The reads the columnar kernel makes of every leaf are served
+        # without expanding: ``der``, ``issuer``, the serial and the
+        # field-size row are stored eagerly, and ``key_algorithm`` (above) and
+        # ``field_sizes.san_byte_share`` answer from the record.  Probes for
+        # absent memo attributes (``getattr(cert, "_san_share", None)``) do
+        # not expand either.  So a warm columnar run expands only the leaves
+        # it pickles (``__getstate__``: spoof targets sent to the parent) and
+        # the object backend's, which reads them in full.  The import is
+        # deferred to break the issuance→certificate cycle.
         record = self.__dict__.get("_deferred")
-        if record is None:
+        if record is None or name not in _DEFERRED_FIELDS:
             raise AttributeError(name)
         from .issuance import expand_deferred_leaf_fields
 
         del self.__dict__["_deferred"]
         self.__dict__.update(expand_deferred_leaf_fields(self.__dict__["der"], record))
-        try:
-            return self.__dict__[name]
-        except KeyError:
-            raise AttributeError(name) from None
+        return self.__dict__[name]
 
     def __getstate__(self):
         if "_deferred" in self.__dict__:

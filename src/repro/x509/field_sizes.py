@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List
 
 from ..asn1 import OID
 from .certificate import Certificate
+from .issuance import deferred_san_extension
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,17 @@ def san_byte_share(certificate: Certificate) -> float:
 
     Used by the cruise-liner analysis (paper Figure 14 / Appendix E).
     Memoized on the certificate instance: the figure-14 fold revisits the
-    same leaf once per delivering deployment.
+    same leaf once per delivering deployment.  A leaf rebuilt from a
+    skeleton-store record answers from its ``_deferred`` record, unexpanded.
     """
     cached = getattr(certificate, "_san_share", None)
     if cached is not None:
         return cached
-    san = certificate.extension(OID.SUBJECT_ALT_NAME.dotted)
+    record = certificate.__dict__.get("_deferred")
+    if record is not None:
+        san = deferred_san_extension(record)
+    else:
+        san = certificate.extension(OID.SUBJECT_ALT_NAME.dotted)
     if san is None or certificate.size == 0:
         share = 0.0
     else:

@@ -336,6 +336,18 @@ def leaf_from_record(
     return certificate
 
 
+def _extension(oid, value: bytes) -> Extension:
+    """A non-critical per-leaf extension, built without the dataclass init."""
+    extension = Extension.__new__(Extension)
+    extension.__dict__.update({"oid": oid, "critical": False, "value": value})
+    return extension
+
+
+def deferred_san_extension(record: tuple) -> Extension:
+    """The subjectAltName extension of a ``_deferred`` leaf, without expanding it."""
+    return _extension(_SAN_OID, record[4])
+
+
 def expand_deferred_leaf_fields(der: bytes, record: tuple) -> dict:
     """Build the fields a ``_deferred`` leaf record postponed.
 
@@ -360,12 +372,9 @@ def expand_deferred_leaf_fields(der: bytes, record: tuple) -> dict:
     key.__dict__.update(
         {"algorithm": template.key_algorithm, "owner": f"leaf:{domain}"}
     )
-    ski = Extension.__new__(Extension)
-    ski.__dict__.update({"oid": _SKI_OID, "critical": False, "value": ski_value})
-    san = Extension.__new__(Extension)
-    san.__dict__.update({"oid": _SAN_OID, "critical": False, "value": san_value})
-    sct = Extension.__new__(Extension)
-    sct.__dict__.update({"oid": _SCT_OID, "critical": False, "value": sct_value})
+    ski = _extension(_SKI_OID, ski_value)
+    san = _extension(_SAN_OID, san_value)
+    sct = _extension(_SCT_OID, sct_value)
     validity, _ = _validity_for_days(validity_days)
     header = 2 + ((der[1] & 0x7F) if der[1] & 0x80 else 0)
     return {

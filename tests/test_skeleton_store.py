@@ -21,6 +21,7 @@ import tempfile
 import pytest
 
 from repro.analysis.export import export_evaluation
+from repro.core.ioutil import encode_self_verifying
 from repro.analysis.report import build_report
 from repro.scanners import MeasurementCampaign, run_grid_campaign
 from repro.scanners.faults import corrupt_file, truncate_file
@@ -54,6 +55,11 @@ SPOOFED = 12
 CAMPAIGN_KWARGS = dict(stream=True, shard_size=SHARD_SIZE, spoofed_targets_per_provider=SPOOFED)
 
 GRID_MEMBERS = ("baseline-2022", "trimmed-chains", "universal-compression")
+
+#: The format tag of the previous layout, derived so the stale-version tests
+#: keep testing the version check (not the checksum) across format bumps.
+_FORMAT_NAME, _FORMAT_VERSION = SKELETON_FORMAT.rsplit(b"/", 1)
+STALE_FORMAT = b"%s/%d" % (_FORMAT_NAME, int(_FORMAT_VERSION) - 1)
 
 
 @pytest.fixture(autouse=True)
@@ -133,7 +139,7 @@ class TestWireFormat:
         "mangle",
         [
             lambda data: data[: len(data) // 2],            # truncated
-            lambda data: data.replace(b"/1", b"/0", 1),     # stale version
+            lambda data: data.replace(SKELETON_FORMAT, STALE_FORMAT, 1),  # stale version
             lambda data: b"",                               # empty file
             lambda data: b"not a skeleton shard",           # garbage
         ],
@@ -143,6 +149,14 @@ class TestWireFormat:
         data = encode_skeleton_file(shard, dict(cache))
         with pytest.raises(SkeletonStoreError):
             decode_skeleton_file(mangle(data))
+
+    def test_stale_version_fails_the_version_check(self, shard_and_cache):
+        shard, cache = shard_and_cache
+        data = encode_skeleton_file(shard, dict(cache))
+        stale = data.replace(SKELETON_FORMAT, STALE_FORMAT, 1)
+        assert stale.startswith(STALE_FORMAT + b" ")
+        with pytest.raises(SkeletonStoreError, match="format .* is not"):
+            decode_skeleton_file(stale)
 
     def test_flipped_payload_byte_raises(self, shard_and_cache):
         shard, cache = shard_and_cache
@@ -267,6 +281,7 @@ class TestByteIdentity:
         assert cache_counters()["misses"] == 0
         assert cached._shard_regenerable is True
         assert cached.config == eager.config
+        assert cached.tranco == eager.tranco  # rebuilt, never generated, when warm
         assert len(cached.deployments) == len(eager.deployments)
         for ours, theirs in zip(cached.deployments, eager.deployments):
             assert ours.domain == theirs.domain
@@ -405,7 +420,7 @@ class TestQuarantine:
         with open(path, "rb") as handle:
             data = handle.read()
         with open(path, "wb") as handle:
-            handle.write(data.replace(b"/1", b"/0", 1))
+            handle.write(data.replace(SKELETON_FORMAT, STALE_FORMAT, 1))
         assert _warm_campaign_text(config, damaged_dir) == references["plain"]
         assert os.listdir(SkeletonStore(damaged_dir).quarantine_directory)
 
@@ -427,6 +442,46 @@ class TestQuarantine:
         assert _warm_campaign_text(config, damaged_dir) == references["plain"]
         assert cache_counters()["misses"] == 1
         assert os.listdir(SkeletonStore(damaged_dir).quarantine_directory)
+
+    def test_previous_format_directory_is_upgraded(self, config, references, damaged_dir):
+        """A directory in the previous layout — older binding, older header
+        tag, addresses without the zlib version — is quarantined wholesale
+        and regenerated under the current format, to the same report."""
+        store = SkeletonStore(damaged_dir)
+        current = store.entries()
+        for index, name in enumerate(current):
+            key = SkeletonKey.for_config(config, index)
+            assert name == key.filename()
+            material = (
+                f"{key.seed}|{key.size}|{key.shard_size}|"
+                f"{key.population_fingerprint}|{key.index}"
+            )
+            old_digest = hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
+            with open(os.path.join(damaged_dir, name), "rb") as handle:
+                payload = handle.read().split(b"\n", 1)[1]
+            os.unlink(os.path.join(damaged_dir, name))
+            with open(os.path.join(damaged_dir, f"skel-{index:06d}-{old_digest}.skel"), "wb") as handle:
+                handle.write(
+                    encode_self_verifying(STALE_FORMAT, old_digest.encode("ascii") + payload[16:])
+                )
+        with open(store.metadata_path, "r", encoding="utf-8") as handle:
+            metadata = json.load(handle)
+        metadata["format"] = STALE_FORMAT.decode("ascii")
+        with open(store.metadata_path, "w", encoding="utf-8") as handle:
+            json.dump(metadata, handle)
+        stale = store.entries()
+        assert not set(stale) & set(current)
+
+        assert _warm_campaign_text(config, damaged_dir) == references["plain"]
+        assert cache_counters()["misses"] == shard_count(POPULATION_SIZE)
+        upgraded = SkeletonStore(damaged_dir)
+        assert upgraded.entries() == current
+        assert sorted(os.listdir(upgraded.quarantine_directory)) == stale
+        assert upgraded.stats()["metadata"]["format"] == SKELETON_FORMAT.decode("ascii")
+        reset_stores()
+        reset_cache_counters()
+        assert _warm_campaign_text(config, damaged_dir) == references["plain"]
+        assert cache_counters()["misses"] == 0
 
     def test_memo_is_authoritative_until_reset(self, config, tmp_path):
         directory = str(tmp_path / "skel")
