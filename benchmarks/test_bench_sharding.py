@@ -1,15 +1,18 @@
-"""Benchmark: 1-vs-N-worker wall time of the sharded campaign runner.
+"""Benchmark: 1-vs-N-worker wall time of the streamed campaign.
 
 Measures the full per-domain pipeline (stages 1–4 plus the parent-side
 telescope stage) over a 20k population — the ROADMAP's reference scale — once
 single-process and once with ``REPRO_BENCH_SHARDING_WORKERS`` processes.  Both
-variants produce byte-identical results (tests/test_sharding.py asserts it);
-this benchmark only compares wall time.
+run ``stream=True`` from a population config, the path users run at N
+workers: workers regenerate their shards and ship back compact summaries.
+Both variants produce byte-identical reports (tests/test_sharding.py and
+tests/test_streaming_reduction.py assert it); this benchmark only compares
+wall time.
 
 On single-core machines the multi-process variant is expected to *lose*: the
-per-domain compute serialises anyway and the worker→parent result transfer is
-added overhead.  The win appears with real cores; see docs/PERFORMANCE.md for
-the methodology and reference numbers.
+per-domain compute serialises anyway and pool start-up is added overhead.
+The win appears with real cores; see docs/PERFORMANCE.md for the methodology
+and reference numbers.
 
 Knobs (environment):
   REPRO_BENCH_SHARDING_SIZE     population size (default 20000)
@@ -23,40 +26,32 @@ import os
 import pytest
 
 from repro.scanners.orchestrator import MeasurementCampaign
-from repro.webpki.population import PopulationConfig, generate_population
+from repro.webpki.population import PopulationConfig
 
 SHARDING_BENCH_SIZE = int(os.environ.get("REPRO_BENCH_SHARDING_SIZE", "20000"))
 SHARDING_BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_SHARDING_WORKERS", "2"))
+SHARDING_BENCH_CONFIG = PopulationConfig(size=SHARDING_BENCH_SIZE, seed=2022)
 
 
-@pytest.fixture(scope="module")
-def sharding_population():
-    return generate_population(PopulationConfig(size=SHARDING_BENCH_SIZE, seed=2022))
-
-
-def _run_campaign(population, workers: int) -> None:
+def _run_campaign(workers: int) -> None:
     MeasurementCampaign(
-        population=population,
+        population_config=SHARDING_BENCH_CONFIG,
         run_sweep=False,
         spoofed_targets_per_provider=40,
         workers=workers,
+        stream=True,
     ).run()
 
 
 @pytest.mark.benchmark(group="sharding")
-def test_bench_campaign_one_worker(benchmark, sharding_population):
-    benchmark.pedantic(
-        _run_campaign, args=(sharding_population, 1), rounds=1, iterations=1
-    )
+def test_bench_campaign_one_worker(benchmark):
+    benchmark.pedantic(_run_campaign, args=(1,), rounds=1, iterations=1)
 
 
 @pytest.mark.benchmark(group="sharding")
-def test_bench_campaign_n_workers(benchmark, sharding_population):
+def test_bench_campaign_n_workers(benchmark):
     benchmark.pedantic(
-        _run_campaign,
-        args=(sharding_population, SHARDING_BENCH_WORKERS),
-        rounds=1,
-        iterations=1,
+        _run_campaign, args=(SHARDING_BENCH_WORKERS,), rounds=1, iterations=1
     )
 
 

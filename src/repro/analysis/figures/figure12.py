@@ -100,6 +100,25 @@ CATEGORY_CODES: Dict[ServiceCategory, int] = {
 }
 
 
+def rank_runs(ranks: Sequence[int], codes: bytes) -> Tuple[Tuple[int, bytes], ...]:
+    """Cut one shard's per-deployment ``codes`` into rank-contiguous runs.
+
+    A generated shard is one run.  Hand-assembled populations (subsets,
+    reorderings) may skip or repeat ranks, and each break starts a new run,
+    so :func:`compute_from_category_runs` still counts every deployment in
+    the rank group it belongs to.
+    """
+    runs: List[Tuple[int, bytes]] = []
+    start = 0
+    for position in range(1, len(ranks)):
+        if ranks[position] != ranks[position - 1] + 1:
+            runs.append((ranks[start], codes[start:position]))
+            start = position
+    if ranks:
+        runs.append((ranks[start], codes[start:]))
+    return tuple(runs)
+
+
 def compute_from_category_runs(
     runs: Sequence[Tuple[int, bytes]],
     group_count: int = 10,
@@ -107,8 +126,8 @@ def compute_from_category_runs(
     """Reduced-contract equivalent of :func:`compute`.
 
     ``runs`` are rank-contiguous ``(start_rank, category_codes)`` byte strings
-    (one per scan shard, in shard order), one code per deployment — the shape
-    streaming workers ship instead of the deployments themselves.
+    (:func:`rank_runs`, in shard order), one code per deployment — the shape
+    shard workers ship instead of the deployments themselves.
     """
     if not runs or all(not codes for _, codes in runs):
         return RankGroupShares((), (), (), ())

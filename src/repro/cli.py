@@ -351,8 +351,8 @@ def _build_campaign(args, config, retry_policy, fault_plan) -> MeasurementCampai
             skeleton_cache_dir=args.skeleton_cache,
         )
     # Only the explicit flag switches the eager pipeline's backend; the
-    # environment knob applies to streamed runs (resolved inside
-    # run_streaming_scan), so it cannot silently change eager internals.
+    # environment knob applies to streamed runs (resolved inside the shard
+    # loop), so it cannot silently change eager internals.
     # Eager generation routes through the campaign when a skeleton cache is
     # requested, so --skeleton-cache warm-starts it too.
     return MeasurementCampaign(

@@ -19,9 +19,10 @@ of restarting from zero:
   is simply re-scanned; a checkpoint is an optimisation, never a source of
   truth the pipeline must trust.
 * **Campaign metadata.**  ``campaign.json`` records which campaign a
-  directory belongs to; binding a different ``(seed, size, shard size,
-  scenario)`` to the same directory is rejected with an actionable error
-  instead of quietly interleaving incompatible artifacts.
+  directory belongs to — every knob that shapes a summary's bytes; binding a
+  campaign that differs in any of them to the same directory is rejected
+  with an actionable error instead of quietly interleaving incompatible
+  artifacts.
 * **Incomplete manifests.**  When a run gives up (shard retries exhausted) it
   writes ``incomplete.json`` naming exactly which shard indices are missing —
   a failed campaign is loudly partial, never silently so.  Byte-identity of
@@ -52,7 +53,7 @@ from ..webpki.population import PopulationConfig
 
 #: Checkpoint file format tag; bump on any incompatible layout change so old
 #: files are quarantined (and regenerated) instead of misparsed.
-CHECKPOINT_FORMAT = b"repro-ckpt/1"
+CHECKPOINT_FORMAT = b"repro-ckpt/2"
 
 #: Name of the per-directory campaign metadata file.
 CAMPAIGN_METADATA_FILENAME = "campaign.json"
@@ -158,43 +159,71 @@ class CheckpointStore:
 
     # -- campaign binding ------------------------------------------------------
 
-    def _campaign_metadata(self, config: PopulationConfig, shard_size: int) -> Dict:
+    @staticmethod
+    def _shared_metadata(
+        config: PopulationConfig, shard_size: int, spoof_limit_per_provider: int
+    ) -> Dict:
+        """What single and grid campaigns both bind: the population, its scan
+        shards and the per-provider spoof-target cap."""
+        # Imported lazily: only a bound directory needs the skeleton store.
+        from .skeleton_store import population_fingerprint
+
         return {
             "format": CHECKPOINT_FORMAT.decode("ascii"),
             "seed": config.seed,
             "size": config.size,
             "shard_size": shard_size,
-            "scenario_fingerprint": scenario_fingerprint_of(config),
-            "scenario": (config.scenario or BASELINE).name,
+            "population_fingerprint": population_fingerprint(config),
+            "spoof_limit_per_provider": spoof_limit_per_provider,
         }
 
-    def bind_campaign(self, config: PopulationConfig, shard_size: int) -> None:
+    def bind_campaign(
+        self,
+        config: PopulationConfig,
+        shard_size: int,
+        run_sweep: bool = False,
+        sweep_sample_size: Optional[int] = None,
+        spoof_limit_per_provider: int = 60,
+    ) -> None:
         """Claim this directory for one campaign (or verify an existing claim).
 
-        A directory whose ``campaign.json`` names a different ``(seed, size,
-        shard size, scenario)`` is rejected: resuming — or checkpointing into
-        — it would interleave summaries that can never merge.
+        The claim covers everything that shapes a shard summary: seed, size,
+        shard size, every generation knob (``population_fingerprint``), the
+        scenario, whether and how widely the Initial-size sweep samples, and
+        the per-provider spoof-target cap.  A directory whose
+        ``campaign.json`` differs in any of them — or predates one of them —
+        is rejected: resuming from it would fold in summaries a fresh run
+        would never produce.
         """
-        self._verify_or_claim(self._campaign_metadata(config, shard_size))
+        expected = self._shared_metadata(config, shard_size, spoof_limit_per_provider)
+        expected.update(
+            scenario_fingerprint=scenario_fingerprint_of(config),
+            scenario=(config.scenario or BASELINE).name,
+            run_sweep=run_sweep,
+            # The sample size only shapes summaries of sweeping campaigns.
+            sweep_sample_size=sweep_sample_size if run_sweep else None,
+        )
+        self._verify_or_claim(expected)
 
-    def bind_grid(self, config: PopulationConfig, shard_size: int, grid) -> None:
+    def bind_grid(
+        self,
+        config: PopulationConfig,
+        shard_size: int,
+        grid,
+        spoof_limit_per_provider: int = 60,
+    ) -> None:
         """Claim this directory for one scenario-grid campaign (or verify it).
 
-        The binding is relaxed relative to :meth:`bind_campaign`: it pins
-        ``(seed, size, shard_size, grid fingerprint)`` — what every member of
-        the sweep shares — while the member scenarios themselves stay
+        The binding pins what every member of the sweep shares — the
+        population, shard size and spoof cap of :meth:`bind_campaign` plus the
+        grid fingerprint — while the member scenarios themselves stay
         content-addressed per checkpoint file.  The grid fingerprint is
         order- and name-insensitive (:meth:`ScenarioGrid.fingerprint`), so a
         reordered or renamed sweep over the same member set resumes cleanly;
         the grid name and member list are written for humans but not matched.
         """
-        expected = {
-            "format": CHECKPOINT_FORMAT.decode("ascii"),
-            "seed": config.seed,
-            "size": config.size,
-            "shard_size": shard_size,
-            "grid_fingerprint": grid.fingerprint(),
-        }
+        expected = self._shared_metadata(config, shard_size, spoof_limit_per_provider)
+        expected["grid_fingerprint"] = grid.fingerprint()
         self._verify_or_claim(
             expected,
             extra={"grid": grid.name, "scenarios": sorted(grid.member_names)},

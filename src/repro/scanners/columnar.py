@@ -1068,8 +1068,9 @@ def summarize_shard_columnar(
             algorithm: len(rates) for algorithm, rates in wild_rates.items()
         },
         wild_rates=wild_rates,
-        start_rank=deployments[0].rank if deployments else task.start + 1,
-        category_codes=bytes(category_codes),
+        category_runs=figure12.rank_runs(
+            [deployment.rank for deployment in deployments], bytes(category_codes)
+        ),
         field_size_counts=field_size_counts,
         certificate_count=certificate_count,
         quic_chain_size_counts=quic_chain_size_counts,

@@ -37,7 +37,6 @@ from .sharding import (
     build_shard_tasks,
     dispatch_with_retry,
     global_sweep_sample,
-    run_sharded_scan,
 )
 from .streaming import (
     CampaignReducer,
@@ -120,25 +119,28 @@ class CampaignResults:
 class MeasurementCampaign:
     """Configures and runs the full measurement pipeline.
 
-    ``workers``/``shard_size`` switch the per-domain stages (1–4) onto the
-    sharded runner of :mod:`repro.scanners.sharding`: the population is cut
-    into rank-contiguous shards that are scanned independently — across
-    ``workers`` processes when ``workers > 1`` — and merged back into results
-    identical for every worker count.  Both default to ``None``, which keeps
-    the single-process serial path (the tier-1/CI default).  The
-    telescope/ZMap stage (5) always runs in the parent process: it is cheap,
-    global (spoof-target selection scans the whole population) and identical
-    either way.
+    ``run()`` takes one of three paths, and every path renders the same
+    report bytes:
 
-    ``stream=True`` switches to the streaming reduction pipeline
-    (:mod:`repro.scanners.streaming`): the population is regenerated shard by
-    shard inside the workers, every shard is reduced to a compact summary
-    before it reaches the parent, and ``run()`` returns a
-    :class:`~repro.scanners.streaming.ReducedCampaignResults` whose report is
-    byte-identical to the eager paths — at bounded parent memory, which is
-    what makes 1M-domain campaigns practical.  Streaming regenerates from
-    ``population_config``; passing a materialised ``population`` would defeat
-    the point and is rejected.
+    * **serial** (the default, ``workers``/``shard_size`` left ``None``):
+      stages 1–4 run over the whole population in this process and return a
+      :class:`CampaignResults` of per-domain observations;
+    * **eager sharded** (``workers``/``shard_size`` given, or the
+      ``columnar`` backend): the materialised population is cut into
+      rank-contiguous shards shipped to ``workers`` processes by value, each
+      shard is reduced to a :class:`~repro.scanners.streaming.ShardSummary`
+      and ``run()`` returns a
+      :class:`~repro.scanners.streaming.ReducedCampaignResults`;
+    * **streamed** (``stream=True``): the population is regenerated shard by
+      shard inside the workers, as a one-member grid of the campaign's own
+      scenario (:mod:`repro.scanners.streaming`), and reduced the same way —
+      at bounded parent memory, which is what makes 1M-domain campaigns
+      practical.  Streaming regenerates from ``population_config``; passing
+      a materialised ``population`` would defeat the point and is rejected.
+
+    The telescope/ZMap stage (5) always runs in the parent process: it is
+    cheap, global (spoof-target selection scans the whole population) and
+    identical either way.
 
     ``scenario`` runs the campaign under a what-if
     :class:`~repro.scenarios.ScenarioSpec`: the population config is derived
@@ -173,8 +175,7 @@ class MeasurementCampaign:
         #: Shard-scan implementation (see :mod:`repro.scanners.columnar`).
         #: An explicit value is validated eagerly; ``None`` stays ``None`` so
         #: only streamed runs consult the ``REPRO_SCAN_BACKEND`` environment
-        #: knob (the eager pipelines keep their full-observation internals
-        #: unless a caller opts into columnar explicitly).
+        #: knob (eager sharded runs default to the object backend).
         self.scan_backend = (
             resolve_scan_backend(scan_backend) if scan_backend is not None else None
         )
@@ -253,10 +254,12 @@ class MeasurementCampaign:
     def run(self) -> "CampaignResults | ReducedCampaignResults":
         if self.stream:
             return self._run_streaming()
-        if self.scan_backend == "columnar":
-            return self._run_eager_columnar()
-        if self.workers is not None or self.shard_size is not None:
-            return self._run_sharded()
+        if (
+            self.scan_backend == "columnar"
+            or self.workers is not None
+            or self.shard_size is not None
+        ):
+            return self._run_eager_sharded()
         return self._run_serial()
 
     def _run_serial(self) -> CampaignResults:
@@ -335,89 +338,35 @@ class MeasurementCampaign:
             scenario=self.scenario,
         )
 
-    def _run_sharded(self) -> CampaignResults:
-        population = self.population
+    def _run_eager_sharded(self) -> ReducedCampaignResults:
+        """Eager sharded pipeline over the already-materialised population.
 
-        # Stages 1–4 fan out over rank-contiguous shards (each worker warms
-        # its own flight-plan cache) and merge deterministically.  Explicit
-        # zeros pass through so run_sharded_scan/plan_shards reject them.
-        merged = run_sharded_scan(
-            population,
-            workers=self.workers if self.workers is not None else 1,
+        The population is cut into shards whose tasks carry the deployments
+        by value, each shard is scanned and reduced by
+        :func:`~repro.scanners.streaming._scan_and_summarize` on the chosen
+        backend (``object`` unless one is given), and the summaries are
+        folded and finalised exactly like a streamed run — so the report is
+        byte-identical to every other path and the return type is
+        :class:`~repro.scanners.streaming.ReducedCampaignResults`.  Tasks
+        also carry the population config, so the scenario fingerprint
+        stamped into each summary matches this campaign's.
+        """
+        population = self.population
+        workers = self.workers if self.workers is not None else 1
+        if workers <= 0:
+            raise ValueError("workers must be positive")
+        spec = ReductionSpec(spoof_limit_per_provider=self.spoofed_targets_per_provider)
+        tasks = build_shard_tasks(
+            population.deployments,
+            # An explicit zero passes through so plan_shards rejects it.
             shard_size=self.shard_size if self.shard_size is not None else DEFAULT_SHARD_SIZE,
             analysis_initial_size=self.analysis_initial_size,
             analysis_compression=self.analysis_compression,
             run_sweep=self.run_sweep,
             sweep_sample_size=self.sweep_sample_size,
-            retry_policy=self.retry_policy,
-            skeleton_cache_dir=self.skeleton_cache_dir,
+            scan_backend=self.scan_backend or "object",
+            population_config=population.config,
         )
-
-        # Stage 5 runs in the parent over the full fabric, exactly as serially
-        # — but against its own fresh flight-plan cache, so the final counters
-        # are a pure function of the campaign (not of whatever else this
-        # process simulated before).
-        stage5_cache = FlightPlanCache()
-        network = build_network_for(population.deployments, flight_cache=stage5_cache)
-        backscatter, meta_probe_before, meta_probe_after = (
-            self._run_incomplete_handshake_stage(network, flight_cache=stage5_cache)
-        )
-
-        stage5_info = stage5_cache.cache_info()
-        flight_cache = FlightCacheInfo(
-            hits=merged.flight_cache.hits + stage5_info.hits,
-            misses=merged.flight_cache.misses + stage5_info.misses,
-            currsize=merged.flight_cache.currsize + stage5_info.currsize,
-            maxsize=max(merged.flight_cache.maxsize, stage5_info.maxsize),
-        )
-
-        return CampaignResults(
-            population=population,
-            https_scan=merged.https_scan,
-            handshakes=merged.handshakes,
-            sweep=merged.sweep,
-            quic_certificates=merged.quic_certificates,
-            certificate_comparison=merged.certificate_comparison,
-            compression=merged.compression,
-            backscatter=backscatter,
-            meta_probe_before=meta_probe_before,
-            meta_probe_after=meta_probe_after,
-            analysis_initial_size=self.analysis_initial_size,
-            flight_cache=flight_cache,
-            scenario=self.scenario,
-        )
-
-    def _run_eager_columnar(self) -> ReducedCampaignResults:
-        """Eager pipeline on the columnar backend.
-
-        The already-materialised population is scan-reduced shard by shard
-        through the columnar kernel and finalised exactly like a streamed run,
-        so the report is byte-identical to every other path; the return type
-        is :class:`~repro.scanners.streaming.ReducedCampaignResults` (summary
-        internals, not per-domain observations).  Tasks ship the deployments
-        by value — ``resolve_deployments`` prefers them — while still carrying
-        the population config so the scenario fingerprint stamped into each
-        summary matches this campaign's.
-        """
-        import dataclasses
-
-        population = self.population
-        workers = self.workers if self.workers is not None else 1
-        spec = ReductionSpec(spoof_limit_per_provider=self.spoofed_targets_per_provider)
-        tasks = [
-            dataclasses.replace(task, population_config=population.config)
-            for task in build_shard_tasks(
-                population.deployments,
-                shard_size=(
-                    self.shard_size if self.shard_size is not None else DEFAULT_SHARD_SIZE
-                ),
-                analysis_initial_size=self.analysis_initial_size,
-                analysis_compression=self.analysis_compression,
-                run_sweep=self.run_sweep,
-                sweep_sample_size=self.sweep_sample_size,
-                scan_backend="columnar",
-            )
-        ]
         tasks_by_index = {task.index: task for task in tasks}
         reducer = CampaignReducer(spec=spec, run_sweep=self.run_sweep)
 
@@ -431,7 +380,7 @@ class MeasurementCampaign:
             sorted(tasks_by_index),
             make_payload,
             _scan_and_summarize,
-            workers if workers > 1 and len(tasks) > 1 else 1,
+            workers if len(tasks) > 1 else 1,
             self.retry_policy,
             on_result,
         )

@@ -966,9 +966,7 @@ def generate_population_cached(
     Materialises the full population through the store — warm directories
     skip every RNG roll and every certificate issuance — and returns an
     :class:`~repro.webpki.population.InternetPopulation` byte-identical to
-    the eager generator's, including the ``_shard_regenerable`` mark (the
-    cached path is faithful regeneration, so sharded runners may still ship
-    ``(config, range)`` to workers).
+    the eager generator's.
     """
     from ..webpki.population import InternetPopulation
     from ..webpki.tranco import TrancoList
@@ -978,6 +976,4 @@ def generate_population_cached(
     # Deployments keep the ranked list's names in rank order (scenarios never
     # rename), so a warm store rebuilds the list without generating it.
     tranco = TrancoList(tuple(deployment.domain for deployment in deployments))
-    population = InternetPopulation(config=config, tranco=tranco, deployments=deployments)
-    population._shard_regenerable = True
-    return population
+    return InternetPopulation(config=config, tranco=tranco, deployments=deployments)

@@ -1,13 +1,14 @@
-"""Streaming reduction of sharded campaigns (true 1M-domain runs).
+"""The shard loop of every sharded campaign: scan, reduce, merge, finalise.
 
-The sharded runner of :mod:`repro.scanners.sharding` already splits scanning
-across shards, but its merge still materialises every shard's full result —
-certificate chains included — in the parent, which caps campaigns far below
-the paper's 1M-domain Tranco scans.  This module closes that gap: shards flow
-through scan *and* aggregation incrementally, and what a worker ships back is
-a :class:`ShardSummary` — counters, CDF count-accumulators, chain-fingerprint
-digests and compact row arrays — instead of deployments, certificate records
-or handshake observation objects.
+Shards flow through scan *and* aggregation incrementally, and what a worker
+ships back is a :class:`ShardSummary` — counters, CDF count-accumulators,
+chain-fingerprint digests and compact row arrays — instead of deployments,
+certificate records or handshake observation objects, so the parent's memory
+stays bounded up to the paper's 1M-domain Tranco scans.  Two worker entries
+cover the two ways a shard travels: :func:`_scan_and_summarize` (by value,
+eager campaigns) and :func:`_scan_and_summarize_grid` (by recipe, streamed
+campaigns — a single campaign is a one-member grid).  One shard loop,
+:func:`_run_shards`, runs every streamed campaign.
 
 The streaming reduction contract (see docs/ARCHITECTURE.md):
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -54,7 +54,7 @@ from ..analysis.figures import figure02b, figure07, figure08, figure12, figure13
 from ..core.limits import LARGER_COMMON_LIMIT
 from ..quic.handshake import HandshakeClass
 from ..quic.server import FlightCacheInfo
-from ..scenarios import BASELINE_FINGERPRINT
+from ..scenarios import BASELINE, BASELINE_FINGERPRINT
 from ..tls.cert_compression import (
     CertificateCompressionAlgorithm,
     compress_certificate_chain,
@@ -200,8 +200,9 @@ class ShardSummary:
     wild_support_counts: Dict[CertificateCompressionAlgorithm, int]
     wild_rates: Dict[CertificateCompressionAlgorithm, array]
     # Ground-truth (population) reductions for the certificate figures.
-    start_rank: int
-    category_codes: bytes
+    #: Rank-contiguous ``(start_rank, category codes)`` runs of the shard's
+    #: deployments (:func:`~repro.analysis.figures.figure12.rank_runs`).
+    category_runs: Tuple[Tuple[int, bytes], ...]
     field_size_counts: Dict[str, Dict[int, int]]
     certificate_count: int
     quic_chain_size_counts: Dict[int, int]
@@ -403,9 +404,9 @@ def summarize_shard(
         wild_all_three=wild_all_three,
         wild_support_counts=wild_support_counts,
         wild_rates=wild_rates,
-        start_rank=deployments[0].rank if deployments else task.start + 1,
-        category_codes=bytes(
-            figure12.CATEGORY_CODES[deployment.category] for deployment in deployments
+        category_runs=figure12.rank_runs(
+            [deployment.rank for deployment in deployments],
+            bytes(figure12.CATEGORY_CODES[deployment.category] for deployment in deployments),
         ),
         field_size_counts=field_size_counts,
         certificate_count=certificate_count,
@@ -428,8 +429,21 @@ def summarize_shard(
     )
 
 
+def _summarize(
+    member_task: ShardTask, deployments: Sequence[DomainDeployment], spec: ReductionSpec
+) -> ShardSummary:
+    """Scan and reduce one shard's deployments on the task's backend."""
+    if member_task.scan_backend == "columnar":
+        # Imported lazily: columnar imports this module at top level.
+        from .columnar import summarize_shard_columnar
+
+        return summarize_shard_columnar(member_task, deployments, spec)
+    scan = scan_shard(member_task, deployments=deployments)
+    return summarize_shard(member_task, deployments, scan, spec)
+
+
 def _scan_and_summarize(payload: Tuple[ShardTask, ReductionSpec, int, object]) -> ShardSummary:
-    """Worker entry point: resolve, scan and reduce one shard.
+    """By-value worker entry (eager campaigns): scan and reduce one shard.
 
     The payload carries the dispatch attempt number and the (optional)
     :class:`~repro.scanners.faults.FaultPlan`; a scripted fault for this
@@ -439,20 +453,14 @@ def _scan_and_summarize(payload: Tuple[ShardTask, ReductionSpec, int, object]) -
     task, spec, attempt, fault_plan = payload
     if fault_plan is not None:
         fault_plan.inject_worker_fault(task.index, attempt)
-    deployments = tuple(task.resolve_deployments())
-    if task.scan_backend == "columnar":
-        # Imported lazily: columnar imports this module at top level.
-        from .columnar import summarize_shard_columnar
-
-        return summarize_shard_columnar(task, deployments, spec)
-    scan = scan_shard(task, deployments=deployments)
-    return summarize_shard(task, deployments, scan, spec)
+    return _summarize(task, task.resolve_deployments(), spec)
 
 
 def _scan_and_summarize_grid(
     payload: Tuple[ShardTask, ReductionSpec, int, object]
 ) -> Tuple[ShardSummary, ...]:
-    """Grid worker entry point: one generation pass, one summary per scenario.
+    """Recipe worker entry (streamed campaigns): one generation pass, one
+    summary per member scenario.
 
     The cross-scenario shard-reuse contract (docs/ARCHITECTURE.md): scenarios
     are pure post-RNG skeleton transforms, so the shard's *baseline* skeletons
@@ -466,9 +474,8 @@ def _scan_and_summarize_grid(
     (chain specs embed their domain, so no two deployments of a scan ever
     share a cache entry), keeping identity-keyed scan caches honest.
 
-    Summaries come back in ``task.grid_scenarios`` order, each byte-identical
-    to the summary an independent single-scenario campaign produces for this
-    shard.
+    Summaries come back in ``task.grid_scenarios`` order.  A single streamed
+    campaign is a one-member task.
     """
     task, spec, attempt, fault_plan = payload
     if fault_plan is not None:
@@ -507,23 +514,16 @@ def _scan_and_summarize_grid(
                 base_config, task.start, task.stop, skeleton=True
             )
         for scenario in members:
-            member_task = member_tasks[scenario.name]
+            transformed = (
+                skeletons if scenario.is_identity else scenario.transform_skeletons(skeletons)
+            )
             deployments = tuple(
                 skeleton.materialize(hierarchy, chain_cache=chain_cache)
-                for skeleton in scenario.transform_skeletons(skeletons)
+                for skeleton in transformed
             )
-            if member_task.scan_backend == "columnar":
-                # Imported lazily: columnar imports this module at top level.
-                from .columnar import summarize_shard_columnar
-
-                summaries[scenario.name] = summarize_shard_columnar(
-                    member_task, deployments, spec
-                )
-            else:
-                scan = scan_shard(member_task, deployments=deployments)
-                summaries[scenario.name] = summarize_shard(
-                    member_task, deployments, scan, spec
-                )
+            summaries[scenario.name] = _summarize(
+                member_tasks[scenario.name], deployments, spec
+            )
     return tuple(summaries[scenario.name] for scenario in task.grid_scenarios)
 
 
@@ -665,7 +665,7 @@ class CampaignReducer:
         self._cache_currsize = 0
         self._cache_maxsize = 0
         # Shard-index-keyed state (concatenated in index order at finalise).
-        self._category_runs: Dict[int, Tuple[int, bytes]] = {}
+        self._category_runs: Dict[int, Tuple[Tuple[int, bytes], ...]] = {}
         self._fig13: Dict[int, Tuple[array, bytes]] = {}
         self._fig5: Dict[int, Tuple[array, array, array]] = {}
         self._wild_rates: Dict[int, Dict[CertificateCompressionAlgorithm, array]] = {}
@@ -741,7 +741,7 @@ class CampaignReducer:
         self._cache_misses = summary.flight_cache.misses
         self._cache_currsize = summary.flight_cache.currsize
         self._cache_maxsize = summary.flight_cache.maxsize
-        self._category_runs = {index: (summary.start_rank, summary.category_codes)}
+        self._category_runs = {index: summary.category_runs}
         self._fig13 = {index: (summary.fig13_ranks, summary.fig13_classes)}
         self._fig5 = {index: (summary.fig5_tls, summary.fig5_total, summary.fig5_limit)}
         self._wild_rates = {index: summary.wild_rates}
@@ -916,9 +916,7 @@ class CampaignReducer:
             fig14_san_shares.extend(shares)
 
         category_runs = tuple(
-            (self._category_runs[index][0], self._category_runs[index][1])
-            for index in ordered
-            if index in self._category_runs
+            run for index in ordered for run in self._category_runs.get(index, ())
         )
 
         sweep: Optional[SweepResult] = None
@@ -1071,281 +1069,136 @@ class ReducedCampaignResults:
 # Driving a streamed scan
 # ---------------------------------------------------------------------------
 
-def run_streaming_scan(
+def _sweep_selections(
     config: PopulationConfig,
-    workers: int = 1,
-    shard_size: int = DEFAULT_SHARD_SIZE,
+    shard_specs: Sequence,
+    sweep_sample_size: Optional[int],
+    workers: int,
+    skeleton_cache_dir: Optional[str],
+    retry_policy: Optional[RetryPolicy],
+) -> List[Tuple[int, int]]:
+    """Per-shard ``(quic_index_offset, stride)`` of the globally strided sweep.
+
+    A near-free discovery pass counts each shard's QUIC targets from phase-1
+    skeletons (no certificate issuance), so the population's chains are
+    generated once — by the scan pass — not twice.  An unsampled sweep has
+    stride 1 whatever the counts, so it skips the pass entirely.
+    """
+    if sweep_sample_size is None:
+        return [(0, 1)] * len(shard_specs)
+    counts = [0] * len(shard_specs)
+
+    def count_task(index: int, attempt: int) -> ShardTask:
+        shard = shard_specs[index]
+        return ShardTask(
+            index=index,
+            population_config=config,
+            start=shard.start,
+            stop=shard.stop,
+            skeleton_cache_dir=skeleton_cache_dir,
+        )
+
+    def on_count(index: int, result: Tuple[int, int], attempt: int = 0) -> None:
+        counts[index] = result[1]
+
+    dispatch_with_retry(
+        range(len(shard_specs)), count_task, _count_quic_targets, workers, retry_policy, on_count
+    )
+    stride = sweep_sample_stride(sum(counts), sweep_sample_size)
+    selections: List[Tuple[int, int]] = []
+    offset = 0
+    for count in counts:
+        selections.append((offset, stride))
+        offset += count
+    return selections
+
+
+def _run_shards(
+    config: PopulationConfig,
+    scenarios: Tuple["ScenarioSpec", ...],
+    bind_checkpoints: Callable[[CheckpointStore], None],
+    *,
+    workers: int,
+    shard_size: int,
+    spec: ReductionSpec,
+    checkpoint_dir: Optional[str],
+    resume: bool,
+    retry_policy: Optional[RetryPolicy],
+    fault_plan: Optional[FaultPlan],
+    scan_backend: Optional[str],
+    skeleton_cache_dir: Optional[str],
     run_sweep: bool = False,
-    sweep_sample_size: Optional[int] = 2000,
+    sweep_sample_size: Optional[int] = None,
     sweep_initial_sizes: Sequence[int] = SWEEP_INITIAL_SIZES,
     analysis_initial_size: int = DEFAULT_ANALYSIS_INITIAL_SIZE,
     analysis_compression: Sequence[CertificateCompressionAlgorithm] = (),
-    spec: Optional[ReductionSpec] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    retry_policy: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    scan_backend: Optional[str] = None,
-    skeleton_cache_dir: Optional[str] = None,
-) -> ReducedScanResults:
-    """Stream stages 1–4 over a generated population, reducing as shards finish.
+    progress: Optional[Callable[[str], None]] = None,
+) -> Dict[str, ReducedScanResults]:
+    """The shard loop of every streamed campaign: one reducer per member.
 
-    The parent never materialises the population: tasks carry only
-    ``(config, index range)``; workers regenerate, scan and reduce their
-    shard, and ship back a :class:`ShardSummary`.  With ``run_sweep`` a
-    near-free discovery pass first counts QUIC targets per shard so workers
-    can select their slice of the globally-strided sweep sample locally; the
-    count comes from phase-1 skeletons (two-phase generation), so the
-    population's certificate chains are generated once — by the scan pass —
-    not twice.
-
-    Durability (see docs/ARCHITECTURE.md, "Durable campaigns"):
-
-    * ``checkpoint_dir`` persists every :class:`ShardSummary` to disk as it is
-      reduced — content-addressed, atomic, self-verifying
-      (:mod:`repro.scanners.checkpoint`).
-    * ``resume`` folds the directory's valid checkpoints in first and
-      dispatches only the missing shards; invalid files are quarantined and
-      their shards re-scanned, so a resumed report stays byte-identical to an
-      uninterrupted run.
-    * ``retry_policy`` re-dispatches crashed / timed-out shards on a fresh
-      pool; exhausted retries raise
-      :class:`~repro.scanners.sharding.ShardDispatchError` after writing an
-      ``incomplete.json`` manifest naming the missing shard indices.
-    * ``fault_plan`` arms the deterministic fault-injection harness
-      (:mod:`repro.scanners.faults`) — testing only.
-
-    ``scan_backend`` picks the shard-scan implementation (``"object"`` or
-    ``"columnar"``, see :mod:`repro.scanners.columnar`); ``None`` consults the
-    ``REPRO_SCAN_BACKEND`` environment knob and defaults to ``"object"``.
-    Both backends produce byte-identical summaries, so checkpoints written by
-    one backend resume cleanly under the other.
-
-    ``skeleton_cache_dir`` points workers at a persistent
-    :class:`~repro.scanners.skeleton_store.SkeletonStore`: generation becomes
-    a verified read of cached baseline shards (warm) or a read-through that
-    populates the store (cold), byte-identical either way.  Composes freely
-    with checkpoints, resume, retries and both backends.
+    ``config`` is the scenario-free base config and ``scenarios`` the member
+    scenarios; a single campaign is a one-member grid.  Every shard visit
+    dispatches :func:`_scan_and_summarize_grid` with the members still
+    missing for that shard; each returned summary is checkpointed under its
+    member's own key and folded into its member's :class:`CampaignReducer`.
+    ``bind_checkpoints`` claims (or verifies) the checkpoint directory — the
+    one step where a single campaign and a grid differ.  ``run_sweep``
+    requires exactly one member, because sweep discovery is a per-campaign
+    global pass.
     """
     if workers <= 0:
         raise ValueError("workers must be positive")
     if resume and checkpoint_dir is None:
         raise CheckpointError("resume requires a checkpoint directory")
+    if run_sweep and len(scenarios) != 1:
+        raise ValueError("the Initial-size sweep runs on single-scenario campaigns only")
     if skeleton_cache_dir is not None:
         # Bind (or verify) the directory in the parent so a mismatched cache
         # fails fast with one actionable error instead of once per worker.
         from .skeleton_store import store_for
 
-        base = (
-            config
-            if config.scenario is None
-            else dataclasses.replace(config, scenario=None)
-        )
-        store_for(skeleton_cache_dir).bind(base)
-    from .columnar import resolve_scan_backend  # lazy: columnar imports us
-
-    scan_backend = resolve_scan_backend(scan_backend)
-    spec = spec or ReductionSpec()
-    shard_specs = plan_shards(config.size, shard_size)
-    multiprocess = workers > 1 and len(shard_specs) > 1
-
-    store: Optional[CheckpointStore] = None
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        store.bind_campaign(config, shard_size)
-
-    selections: List[Optional[Tuple[int, int]]] = [None] * len(shard_specs)
-    if run_sweep and sweep_sample_size is None:
-        # Unsampled sweep: the stride is 1 whatever the QUIC-target count, so
-        # skip the discovery pass entirely (even skeleton counts cannot
-        # affect the result).
-        selections = [(0, 1)] * len(shard_specs)
-    elif run_sweep:
-        count_tasks = [
-            ShardTask(
-                index=shard.index,
-                population_config=config,
-                start=shard.start,
-                stop=shard.stop,
-                skeleton_cache_dir=skeleton_cache_dir,
-            )
-            for shard in shard_specs
-        ]
-        counts = [0] * len(shard_specs)
-        if multiprocess:
-            with ProcessPoolExecutor(max_workers=min(workers, len(count_tasks))) as pool:
-                for index, count in pool.map(_count_quic_targets, count_tasks):
-                    counts[index] = count
-        else:
-            for task in count_tasks:
-                index, count = _count_quic_targets(task)
-                counts[index] = count
-        stride = sweep_sample_stride(sum(counts), sweep_sample_size)
-        offset = 0
-        for index, count in enumerate(counts):
-            selections[index] = (offset, stride)
-            offset += count
-
-    tasks = [
-        ShardTask(
-            index=shard.index,
-            population_config=config,
-            start=shard.start,
-            stop=shard.stop,
-            analysis_initial_size=analysis_initial_size,
-            analysis_compression=tuple(analysis_compression),
-            run_sweep=run_sweep,
-            sweep_local_selection=selections[shard.index],
-            sweep_initial_sizes=tuple(sweep_initial_sizes),
-            scan_backend=scan_backend,
-            skeleton_cache_dir=skeleton_cache_dir,
-        )
-        for shard in shard_specs
-    ]
-    reducer = CampaignReducer(
-        spec=spec, run_sweep=run_sweep, sweep_initial_sizes=sweep_initial_sizes
-    )
-
-    # Resume: fold every valid persisted summary first (invalid files are
-    # quarantined by the store and their shards land back in the dispatch
-    # set).  The reducer re-checks scenario fingerprints on every fold, and
-    # finalize_streaming re-checks once more at the resume seam.
-    resumed_indices: frozenset = frozenset()
-    if resume and store is not None:
-        resumed = store.load_valid(
-            config, shard_size, [shard.index for shard in shard_specs]
-        )
-        for index in sorted(resumed):
-            reducer.add(resumed[index])
-        resumed_indices = frozenset(resumed)
-
-    tasks_by_index = {task.index: task for task in tasks}
-    to_run = sorted(set(tasks_by_index) - resumed_indices)
-
-    def make_payload(index: int, attempt: int):
-        return (tasks_by_index[index], spec, attempt, fault_plan)
-
-    def on_result(index: int, summary: ShardSummary, attempt: int = 0) -> None:
-        if store is not None:
-            path = store.save(
-                CheckpointKey.for_campaign(config, shard_size, index),
-                summary,
-                attempt=attempt,
-            )
-            if fault_plan is not None:
-                fault_plan.apply_checkpoint_faults(index, path, attempt)
-        reducer.add(summary)
-
-    try:
-        dispatch_with_retry(
-            to_run,
-            make_payload,
-            _scan_and_summarize,
-            workers if multiprocess else 1,
-            retry_policy,
-            on_result,
-        )
-    except ShardDispatchError as error:
-        if store is not None:
-            completed = sorted(set(tasks_by_index) - set(error.incomplete))
-            store.write_incomplete_manifest(completed, error.incomplete)
-        raise
-    if store is not None:
-        store.clear_incomplete_manifest()
-    return reducer.reduced_scan()
-
-
-def run_streaming_grid_scan(
-    config: PopulationConfig,
-    grid: "ScenarioGrid",
-    workers: int = 1,
-    shard_size: int = DEFAULT_SHARD_SIZE,
-    spec: Optional[ReductionSpec] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    retry_policy: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    scan_backend: Optional[str] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    skeleton_cache_dir: Optional[str] = None,
-) -> Dict[str, ReducedScanResults]:
-    """Stream an N-scenario grid over one population at one-generation cost.
-
-    The amortized counterpart of N :func:`run_streaming_scan` calls: every
-    worker visit to a shard generates the baseline skeletons once, replays
-    all requested scenario transforms against them and scans each
-    (:func:`_scan_and_summarize_grid`), so the sweep costs ``1×generation +
-    N×scan`` instead of ``N×(generation + scan)``.  Results fan into one
-    :class:`CampaignReducer` per member scenario — each reducer still sees
-    exactly one fingerprint, so the mixed-scenario rejection of single runs
-    is unchanged — and the returned per-scenario
-    :class:`ReducedScanResults` are byte-identical to independent runs.
-
-    ``config`` is the scenario-free *base* campaign config; each member
-    derives its own via :meth:`ScenarioSpec.population_config`, so members
-    with ``population_overrides`` participate too (they form their own
-    generation group inside the worker visit).
-
-    Durability mirrors single-scenario runs but at ``(shard, scenario)``
-    granularity: one ``checkpoint_dir`` holds the whole grid
-    (:meth:`CheckpointStore.bind_grid` binds ``(seed, size, shard_size,
-    grid fingerprint)``; checkpoint files stay content-addressed by member
-    fingerprint), and ``resume`` dispatches each shard with only the member
-    scenarios missing from the store.
-
-    ``progress`` (optional) receives one human-readable line per reduced
-    shard visit and per resume fold — the CLI surfaces it so long sweeps are
-    not silent.
-
-    The Initial-size sweep is not available through the grid path: sweep
-    discovery is a per-campaign global pass, so sweeping members would cost
-    the very duplication this runner removes.
-    """
-    if workers <= 0:
-        raise ValueError("workers must be positive")
-    if resume and checkpoint_dir is None:
-        raise CheckpointError("resume requires a checkpoint directory")
-    if config.scenario is not None:
-        raise ValueError(
-            "grid scans take a scenario-free base config; member scenarios "
-            "derive their own configs from it"
-        )
-    from .columnar import resolve_scan_backend  # lazy: columnar imports us
-
-    scan_backend = resolve_scan_backend(scan_backend)
-    if skeleton_cache_dir is not None:
-        # Fail fast in the parent on a mismatched cache directory; the base
-        # config is already scenario-free here (checked above).
-        from .skeleton_store import store_for
-
         store_for(skeleton_cache_dir).bind(config)
-    spec = spec or ReductionSpec()
-    scenarios = tuple(grid)
+    from .columnar import resolve_scan_backend  # lazy: columnar imports us
+
+    scan_backend = resolve_scan_backend(scan_backend)
     member_configs = {
         scenario.name: scenario.population_config(base=config) for scenario in scenarios
     }
     shard_specs = plan_shards(config.size, shard_size)
+    indices = [shard.index for shard in shard_specs]
     multiprocess = workers > 1 and len(shard_specs) > 1
 
     store: Optional[CheckpointStore] = None
     if checkpoint_dir is not None:
         store = CheckpointStore(checkpoint_dir)
-        store.bind_grid(config, shard_size, grid)
+        bind_checkpoints(store)
+
+    selections: List[Optional[Tuple[int, int]]] = [None] * len(shard_specs)
+    if run_sweep:
+        selections = _sweep_selections(
+            member_configs[scenarios[0].name],
+            shard_specs,
+            sweep_sample_size,
+            workers if multiprocess else 1,
+            skeleton_cache_dir,
+            retry_policy,
+        )
 
     reducers = {
-        scenario.name: CampaignReducer(spec=spec, run_sweep=False)
+        scenario.name: CampaignReducer(
+            spec=spec, run_sweep=run_sweep, sweep_initial_sizes=sweep_initial_sizes
+        )
         for scenario in scenarios
     }
-
-    indices = [shard.index for shard in shard_specs]
-    # Scenarios still to scan, per shard; resume drains (shard, scenario)
-    # pairs out of this map so a task only carries its missing members.
+    # Scenarios still to scan, per shard.  Resume folds every valid persisted
+    # summary first (invalid files are quarantined by the store and stay
+    # pending), so a task only carries its missing members.  The reducer
+    # re-checks scenario fingerprints on every fold, and finalize_streaming
+    # re-checks once more at the resume seam.
     pending: Dict[int, List] = {index: list(scenarios) for index in indices}
     if resume and store is not None:
         for scenario in scenarios:
-            resumed = store.load_valid(
-                member_configs[scenario.name], shard_size, indices
-            )
+            resumed = store.load_valid(member_configs[scenario.name], shard_size, indices)
             for index in sorted(resumed):
                 reducers[scenario.name].add(resumed[index])
                 pending[index].remove(scenario)
@@ -1356,21 +1209,24 @@ def run_streaming_grid_scan(
                 f"(shard, scenario) checkpoints"
             )
 
-    tasks_by_index: Dict[int, ShardTask] = {}
-    for shard in shard_specs:
-        missing = pending[shard.index]
-        if not missing:
-            continue
-        tasks_by_index[shard.index] = ShardTask(
+    tasks_by_index = {
+        shard.index: ShardTask(
             index=shard.index,
             population_config=config,
             start=shard.start,
             stop=shard.stop,
+            analysis_initial_size=analysis_initial_size,
+            analysis_compression=tuple(analysis_compression),
+            run_sweep=run_sweep,
+            sweep_local_selection=selections[shard.index],
+            sweep_initial_sizes=tuple(sweep_initial_sizes),
             scan_backend=scan_backend,
-            grid_scenarios=tuple(missing),
+            grid_scenarios=tuple(pending[shard.index]),
             skeleton_cache_dir=skeleton_cache_dir,
         )
-    to_run = sorted(tasks_by_index)
+        for shard in shard_specs
+        if pending[shard.index]
+    }
     total_pairs = sum(len(task.grid_scenarios) for task in tasks_by_index.values())
     reduced_pairs = 0
 
@@ -1406,7 +1262,7 @@ def run_streaming_grid_scan(
 
     try:
         dispatch_with_retry(
-            to_run,
+            sorted(tasks_by_index),
             make_payload,
             _scan_and_summarize_grid,
             workers if multiprocess else 1,
@@ -1421,3 +1277,170 @@ def run_streaming_grid_scan(
     if store is not None:
         store.clear_incomplete_manifest()
     return {scenario.name: reducers[scenario.name].reduced_scan() for scenario in scenarios}
+
+
+def run_streaming_scan(
+    config: PopulationConfig,
+    workers: int = 1,
+    shard_size: int = DEFAULT_SHARD_SIZE,
+    run_sweep: bool = False,
+    sweep_sample_size: Optional[int] = 2000,
+    sweep_initial_sizes: Sequence[int] = SWEEP_INITIAL_SIZES,
+    analysis_initial_size: int = DEFAULT_ANALYSIS_INITIAL_SIZE,
+    analysis_compression: Sequence[CertificateCompressionAlgorithm] = (),
+    spec: Optional[ReductionSpec] = None,
+    checkpoint_dir: Optional[str] = None,
+    resume: bool = False,
+    retry_policy: Optional[RetryPolicy] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    scan_backend: Optional[str] = None,
+    skeleton_cache_dir: Optional[str] = None,
+) -> ReducedScanResults:
+    """Stream stages 1–4 over a generated population, reducing as shards finish.
+
+    The parent never materialises the population: tasks carry only
+    ``(config, index range)``; workers regenerate, scan and reduce their
+    shard, and ship back a :class:`ShardSummary`.  The campaign runs as a
+    one-member grid of its own scenario (``config.scenario``, or the identity
+    baseline) through the shard loop every streamed campaign shares.  With
+    ``run_sweep`` a near-free discovery pass first counts QUIC targets per
+    shard so workers can select their slice of the globally-strided sweep
+    sample locally.  The analysis knobs apply where the scenario leaves them
+    unset.
+
+    Durability (see docs/ARCHITECTURE.md, "Durable campaigns"):
+
+    * ``checkpoint_dir`` persists every :class:`ShardSummary` to disk as it is
+      reduced — content-addressed, atomic, self-verifying
+      (:mod:`repro.scanners.checkpoint`).  ``campaign.json`` binds the
+      directory to everything that shapes a summary
+      (:meth:`CheckpointStore.bind_campaign`).
+    * ``resume`` folds the directory's valid checkpoints in first and
+      dispatches only the missing shards; invalid files are quarantined and
+      their shards re-scanned, so a resumed report stays byte-identical to an
+      uninterrupted run.
+    * ``retry_policy`` re-dispatches crashed / timed-out shards on a fresh
+      pool; exhausted retries raise
+      :class:`~repro.scanners.sharding.ShardDispatchError` after writing an
+      ``incomplete.json`` manifest naming the missing shard indices.
+    * ``fault_plan`` arms the deterministic fault-injection harness
+      (:mod:`repro.scanners.faults`) — testing only.
+
+    ``scan_backend`` picks the shard-scan implementation (``"object"`` or
+    ``"columnar"``, see :mod:`repro.scanners.columnar`); ``None`` consults the
+    ``REPRO_SCAN_BACKEND`` environment knob and defaults to ``"object"``.
+    Both backends produce byte-identical summaries, so checkpoints written by
+    one backend resume cleanly under the other.
+
+    ``skeleton_cache_dir`` points workers at a persistent
+    :class:`~repro.scanners.skeleton_store.SkeletonStore`: generation becomes
+    a verified read of cached baseline shards (warm) or a read-through that
+    populates the store (cold), byte-identical either way.  Composes freely
+    with checkpoints, resume, retries and both backends.
+    """
+    spec = spec or ReductionSpec()
+    scenario = config.scenario or BASELINE
+
+    def bind(store: CheckpointStore) -> None:
+        store.bind_campaign(
+            config,
+            shard_size,
+            run_sweep=run_sweep,
+            sweep_sample_size=sweep_sample_size,
+            spoof_limit_per_provider=spec.spoof_limit_per_provider,
+        )
+
+    scans = _run_shards(
+        dataclasses.replace(config, scenario=None),
+        (scenario,),
+        bind,
+        workers=workers,
+        shard_size=shard_size,
+        spec=spec,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        retry_policy=retry_policy,
+        fault_plan=fault_plan,
+        scan_backend=scan_backend,
+        skeleton_cache_dir=skeleton_cache_dir,
+        run_sweep=run_sweep,
+        sweep_sample_size=sweep_sample_size,
+        sweep_initial_sizes=sweep_initial_sizes,
+        analysis_initial_size=analysis_initial_size,
+        analysis_compression=analysis_compression,
+    )
+    return scans[scenario.name]
+
+
+def run_streaming_grid_scan(
+    config: PopulationConfig,
+    grid: "ScenarioGrid",
+    workers: int = 1,
+    shard_size: int = DEFAULT_SHARD_SIZE,
+    spec: Optional[ReductionSpec] = None,
+    checkpoint_dir: Optional[str] = None,
+    resume: bool = False,
+    retry_policy: Optional[RetryPolicy] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    scan_backend: Optional[str] = None,
+    progress: Optional[Callable[[str], None]] = None,
+    skeleton_cache_dir: Optional[str] = None,
+) -> Dict[str, ReducedScanResults]:
+    """Stream an N-scenario grid over one population at one-generation cost.
+
+    The amortized counterpart of N :func:`run_streaming_scan` calls: every
+    worker visit to a shard generates the baseline skeletons once, replays
+    all requested scenario transforms against them and scans each
+    (:func:`_scan_and_summarize_grid`), so the sweep costs ``1×generation +
+    N×scan`` instead of ``N×(generation + scan)``.  Results fan into one
+    :class:`CampaignReducer` per member scenario — each reducer still sees
+    exactly one fingerprint, so the mixed-scenario rejection of single runs
+    is unchanged — and the returned per-scenario
+    :class:`ReducedScanResults` are byte-identical to independent runs.
+
+    ``config`` is the scenario-free *base* campaign config; each member
+    derives its own via :meth:`ScenarioSpec.population_config`, so members
+    with ``population_overrides`` participate too (they form their own
+    generation group inside the worker visit).
+
+    Durability mirrors single-scenario runs but at ``(shard, scenario)``
+    granularity: one ``checkpoint_dir`` holds the whole grid
+    (:meth:`CheckpointStore.bind_grid`; checkpoint files stay
+    content-addressed by member fingerprint), and ``resume`` dispatches each
+    shard with only the member scenarios missing from the store.
+
+    ``progress`` (optional) receives one human-readable line per reduced
+    shard visit and per resume fold — the CLI surfaces it so long sweeps are
+    not silent.
+
+    The Initial-size sweep is not available through the grid path: sweep
+    discovery is a per-campaign global pass, so sweeping members would cost
+    the very duplication this runner removes.
+    """
+    if config.scenario is not None:
+        raise ValueError(
+            "grid scans take a scenario-free base config; member scenarios "
+            "derive their own configs from it"
+        )
+    spec = spec or ReductionSpec()
+
+    def bind(store: CheckpointStore) -> None:
+        store.bind_grid(
+            config, shard_size, grid, spoof_limit_per_provider=spec.spoof_limit_per_provider
+        )
+
+    return _run_shards(
+        config,
+        tuple(grid),
+        bind,
+        workers=workers,
+        shard_size=shard_size,
+        spec=spec,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        retry_policy=retry_policy,
+        fault_plan=fault_plan,
+        scan_backend=scan_backend,
+        skeleton_cache_dir=skeleton_cache_dir,
+        progress=progress,
+    )

@@ -22,10 +22,11 @@ Grids are built three ways, all JSON-round-trippable:
 :meth:`ScenarioGrid.fingerprint` hashes the *set* of member fingerprints
 (order-insensitive: reordering a sweep does not invalidate its checkpoints).
 ``campaign.json`` in a grid checkpoint directory binds ``(seed, size,
-shard_size, grid_fingerprint)``, and per-shard checkpoint files stay addressed
-by their member scenario's own fingerprint — so one checkpoint directory
-holds the whole grid and a resume dispatches only the missing
-``(shard, scenario)`` pairs.
+shard_size, population fingerprint, spoof cap, grid_fingerprint)``, and
+per-shard checkpoint files stay addressed by their member scenario's own
+fingerprint — so one checkpoint directory holds the whole grid and a resume
+dispatches only the missing ``(shard, scenario)`` pairs.  A single streamed
+campaign runs through the same shard loop as a one-member grid.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ report stays byte-identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -28,6 +29,7 @@ from repro.scanners.checkpoint import (
 )
 from repro.scanners.faults import corrupt_file, truncate_file
 from repro.scenarios import BUILTIN_SCENARIOS
+from repro.scenarios.grid import ScenarioGrid
 from repro.webpki.population import PopulationConfig
 
 POPULATION_SIZE = 360
@@ -91,7 +93,7 @@ class TestWireFormat:
         "mangle",
         [
             lambda data: data[: len(data) // 2],            # truncated
-            lambda data: data.replace(b"/1", b"/0", 1),     # stale version
+            lambda data: data.replace(CHECKPOINT_FORMAT, b"repro-ckpt/0", 1),  # stale version
             lambda data: b"",                               # empty file
             lambda data: b"not a checkpoint at all",        # garbage
         ],
@@ -160,7 +162,7 @@ class TestQuarantine:
         def stale(path):
             with open(path, "rb") as handle:
                 data = handle.read()
-            atomic_write_bytes(path, data.replace(b"repro-ckpt/1", b"repro-ckpt/0", 1))
+            atomic_write_bytes(path, data.replace(CHECKPOINT_FORMAT, b"repro-ckpt/0", 1))
 
         reference, directory, victim = _damaged_copy(checkpointed_run, tmp_path, stale)
         assert _resume(config, directory) == reference
@@ -262,6 +264,60 @@ class TestCampaignBinding:
         (tmp_path / "campaign.json").write_text("{torn", encoding="utf-8")
         with pytest.raises(CheckpointError, match="unreadable"):
             store.bind_campaign(config, SHARD_SIZE)
+
+
+class TestResumeUnderChangedKnobs:
+    """A directory is bound to every knob that shapes a summary's bytes, so a
+    resume under a changed knob is rejected instead of folding in stale
+    summaries (which rendered silently wrong reports before)."""
+
+    def test_changed_population_knobs_are_rejected(self, config, checkpointed_run, tmp_path):
+        _, source = checkpointed_run
+        directory = tmp_path / "ckpt"
+        shutil.copytree(source, directory)
+        changed = dataclasses.replace(
+            config, quic_fraction_of_resolved=0.30, https_only_fraction_of_resolved=0.60
+        )
+        with pytest.raises(CheckpointError, match="population_fingerprint"):
+            _resume(changed, directory)
+
+    def test_changed_spoof_cap_is_rejected(self, config, tmp_path):
+        kwargs = dict(CAMPAIGN_KWARGS, spoofed_targets_per_provider=5)
+        MeasurementCampaign(
+            population_config=config, checkpoint_dir=str(tmp_path), **kwargs
+        ).run()
+        kwargs["spoofed_targets_per_provider"] = 60
+        with pytest.raises(CheckpointError, match="spoof_limit_per_provider"):
+            MeasurementCampaign(
+                population_config=config, checkpoint_dir=str(tmp_path), resume=True, **kwargs
+            ).run()
+
+    def test_metadata_without_the_new_fields_is_rejected(self, config, tmp_path):
+        (tmp_path / "campaign.json").write_text(
+            json.dumps(
+                {
+                    "format": CHECKPOINT_FORMAT.decode("ascii"),
+                    "seed": config.seed,
+                    "size": config.size,
+                    "shard_size": SHARD_SIZE,
+                    "scenario": "baseline-2022",
+                    "scenario_fingerprint": BUILTIN_SCENARIOS["baseline-2022"].fingerprint(),
+                }
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(CheckpointError, match="population_fingerprint"):
+            CheckpointStore(str(tmp_path)).bind_campaign(config, SHARD_SIZE)
+
+    def test_grid_binding_covers_population_and_spoof_cap(self, config, tmp_path):
+        grid = ScenarioGrid(name="g", scenarios=(BUILTIN_SCENARIOS["ecdsa-only"],))
+        store = CheckpointStore(str(tmp_path))
+        store.bind_grid(config, SHARD_SIZE, grid, spoof_limit_per_provider=5)
+        with pytest.raises(CheckpointError, match="spoof_limit_per_provider"):
+            store.bind_grid(config, SHARD_SIZE, grid, spoof_limit_per_provider=60)
+        changed = dataclasses.replace(config, quic_fraction_of_resolved=0.30)
+        with pytest.raises(CheckpointError, match="population_fingerprint"):
+            store.bind_grid(changed, SHARD_SIZE, grid, spoof_limit_per_provider=5)
 
 
 class TestManifests:

@@ -64,6 +64,21 @@ class TestCommands:
         assert "figure06" in content
         assert "Table 2" in content
 
+    def test_resuming_a_sweepless_checkpoint_with_sweep_is_rejected(self, tmp_path, capsys):
+        """Regression: the resume used to exit 0 with every Figure 3 sweep row
+        missing from the report; the directory's binding now names the knob."""
+        common = [
+            "campaign", "--size", "600", "--seed", "7", "--stream",
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
+        ]
+        assert main(common + ["--output", str(tmp_path / "plain.txt")]) == 0
+        capsys.readouterr()
+        assert main(
+            common + ["--sweep", "--resume", "--output", str(tmp_path / "sweep.txt")]
+        ) == 2
+        assert "run_sweep" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.txt").exists()
+
     def test_predict_initial_size_moves_the_class(self, capsys):
         chain = "Let's Encrypt R3 + root X1"
         assert main(["predict", "--chain", chain, "--initial-size", "1200"]) == 0

@@ -27,7 +27,7 @@ from repro.scanners.columnar import (
     resolve_scan_backend,
     summarize_shard_columnar,
 )
-from repro.scanners.sharding import ShardTask, run_sharded_scan, scan_shard
+from repro.scanners.sharding import ShardTask, scan_shard
 from repro.scanners.streaming import (
     ReducedCampaignResults,
     ReductionSpec,
@@ -260,11 +260,6 @@ class TestBackendSelection:
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv(SCAN_BACKEND_ENV, "bogus")
         assert resolve_scan_backend("object") == "object"
-
-    def test_run_sharded_scan_rejects_columnar(self):
-        population = generate_population(PopulationConfig(size=120, seed=2))
-        with pytest.raises(ValueError, match="streaming"):
-            run_sharded_scan(population, scan_backend="columnar")
 
     def test_campaign_rejects_unknown_backend_eagerly(self):
         with pytest.raises(ValueError, match="choose from"):

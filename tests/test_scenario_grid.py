@@ -26,7 +26,7 @@ from repro.analysis.report import build_report
 from repro.scanners import MeasurementCampaign, run_grid_campaign
 from repro.scanners.checkpoint import CheckpointError
 from repro.scanners.faults import CheckpointFault, FaultPlan
-from repro.scenarios import ScenarioError, ScenarioSpec, load_scenario
+from repro.scenarios import BUILTIN_SCENARIOS, ScenarioError, ScenarioSpec, load_scenario
 from repro.scenarios.compare import compare_grid
 from repro.scenarios.grid import (
     BUILTIN_GRIDS,
@@ -34,7 +34,7 @@ from repro.scenarios.grid import (
     ScenarioGrid,
     load_grid,
 )
-from repro.webpki.population import PopulationConfig
+from repro.webpki.population import PopulationConfig, generate_population
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
@@ -131,6 +131,79 @@ class TestGridMatchesIndependentCampaigns:
         )
         with pytest.raises(ValueError, match="scenario-free base config"):
             run_grid_campaign(grid, config=carrying)
+
+
+class TestSingleCampaignIsAOneMemberGrid:
+    """One shard loop: a streamed campaign, a one-member grid, an eager
+    sharded run and the serial run of one scenario are the same campaign."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_every_path_renders_the_same_report(self, config, name):
+        scenario = load_scenario(name)
+        kwargs = dict(
+            scenario=scenario,
+            shard_size=SHARD_SIZE,
+            spoofed_targets_per_provider=SPOOFED,
+        )
+        streamed = MeasurementCampaign(
+            population_config=config, stream=True, workers=2, **kwargs
+        ).run()
+        grid_member = run_grid_campaign(
+            ScenarioGrid(name="one-member", scenarios=(scenario,)),
+            config=config,
+            shard_size=SHARD_SIZE,
+            spoofed_targets_per_provider=SPOOFED,
+        )[name]
+        population = generate_population(scenario.population_config(base=config))
+        eager = MeasurementCampaign(population=population, workers=2, **kwargs).run()
+        serial = MeasurementCampaign(
+            population=population,
+            scenario=scenario,
+            spoofed_targets_per_provider=SPOOFED,
+        ).run()
+        reference = build_report(serial).text
+        for results in (streamed, grid_member, eager):
+            assert build_report(results).text == reference
+        assert streamed.scan == grid_member.scan == eager.scan
+
+    def test_single_and_one_member_grid_write_the_same_checkpoints(
+        self, config, tmp_path
+    ):
+        scenario = load_scenario("trimmed-chains")
+        MeasurementCampaign(
+            population_config=config,
+            scenario=scenario,
+            stream=True,
+            shard_size=SHARD_SIZE,
+            spoofed_targets_per_provider=SPOOFED,
+            checkpoint_dir=str(tmp_path / "single"),
+        ).run()
+        run_grid_campaign(
+            ScenarioGrid(name="one-member", scenarios=(scenario,)),
+            config=config,
+            shard_size=SHARD_SIZE,
+            spoofed_targets_per_provider=SPOOFED,
+            checkpoint_dir=str(tmp_path / "grid"),
+        )
+
+        def checkpoints(directory):
+            return sorted(
+                name for name in os.listdir(directory) if name.endswith(".ckpt")
+            )
+
+        assert len(checkpoints(tmp_path / "single")) == POPULATION_SIZE // SHARD_SIZE
+        assert checkpoints(tmp_path / "single") == checkpoints(tmp_path / "grid")
+
+    def test_streamed_sweep_at_two_workers_matches_serial(self, config):
+        # The sweep discovery pass runs in worker processes inside the shard
+        # loop; its global stride must still pick the serial run's sample.
+        kwargs = dict(run_sweep=True, sweep_sample_size=40, spoofed_targets_per_provider=SPOOFED)
+        streamed = MeasurementCampaign(
+            population_config=config, stream=True, workers=2, shard_size=SHARD_SIZE, **kwargs
+        ).run()
+        serial = MeasurementCampaign(population=generate_population(config), **kwargs).run()
+        assert streamed.sweep is not None and streamed.sweep.observations
+        assert build_report(streamed).text == build_report(serial).text
 
 
 class TestGridCheckpointResume:

@@ -1,8 +1,10 @@
-"""Determinism tests for the sharded campaign runner and streaming generation.
+"""Determinism tests for eager sharded campaigns and streaming generation.
 
 The contract under test: a seeded campaign produces byte-identical results no
 matter how the work is split — serial vs. sharded, one worker vs. many
-processes, eager vs. streaming population generation.
+processes, eager vs. streaming population generation.  Eager sharded runs
+reduce shard summaries like every other sharded path, so their results are
+compared as reduced counters.
 """
 
 from __future__ import annotations
@@ -11,14 +13,7 @@ import pytest
 
 from repro.analysis.report import build_report
 from repro.scanners.orchestrator import MeasurementCampaign
-from repro.scanners.sharding import (
-    DEFAULT_SHARD_SIZE,
-    build_shard_tasks,
-    merge_shard_results,
-    plan_shards,
-    run_sharded_scan,
-    scan_shard,
-)
+from repro.scanners.sharding import DEFAULT_SHARD_SIZE, plan_shards
 from repro.webpki.deployment import ServiceCategory
 from repro.webpki.population import (
     GENERATION_SHARD_SIZE,
@@ -31,7 +26,7 @@ from repro.webpki.population import (
 from repro.x509.field_sizes import measure_field_sizes
 
 #: Small population with several scan shards (shard_size=256 below) so the
-#: merge logic is actually exercised; sized to keep the 4-process test quick.
+#: reducer folds are actually exercised; sized to keep the 4-process test quick.
 CONFIG = PopulationConfig(size=1200, seed=77)
 SHARD_SIZE = 256
 
@@ -128,9 +123,7 @@ class TestShardedScanDeterminism:
         results_4 = _campaign(population, workers=4, shard_size=SHARD_SIZE)
         assert build_report(results_1).text == build_report(results_4).text
         assert results_1.flight_cache == results_4.flight_cache
-        assert results_1.https_scan.funnel.as_dict() == results_4.https_scan.funnel.as_dict()
-        assert results_1.handshakes == results_4.handshakes
-        assert results_1.sweep.observations == results_4.sweep.observations
+        assert results_1.scan == results_4.scan
 
     def test_sharded_equals_serial_report(self, population):
         serial = _campaign(population)
@@ -142,36 +135,22 @@ class TestShardedScanDeterminism:
         large = _campaign(population, workers=1, shard_size=800)
         assert build_report(small).text == build_report(large).text
 
-    def test_merge_is_shard_order_insensitive(self, population):
-        tasks = build_shard_tasks(
-            population.deployments, shard_size=SHARD_SIZE,
-            run_sweep=True, sweep_sample_size=80,
-        )
-        partials = [scan_shard(task) for task in tasks]
-        forward = merge_shard_results(partials, run_sweep=True)
-        backward = merge_shard_results(list(reversed(partials)), run_sweep=True)
-        assert forward.handshakes == backward.handshakes
-        assert forward.https_scan.records == backward.https_scan.records
-        assert forward.sweep.observations == backward.sweep.observations
-        assert forward.flight_cache == backward.flight_cache
-
     def test_merged_shapes_cover_population(self, population):
-        merged = run_sharded_scan(
-            population, workers=1, shard_size=SHARD_SIZE,
-            run_sweep=False,
-        )
+        scan = MeasurementCampaign(
+            population=population, workers=1, shard_size=SHARD_SIZE, run_sweep=False
+        ).run().scan
         quic_count = sum(
             1 for d in population.deployments if d.category is ServiceCategory.QUIC
         )
-        assert len(merged.handshakes) == quic_count
-        assert len(merged.quic_certificates) == quic_count
-        assert len(merged.compression) == quic_count
-        assert merged.sweep is None
-        assert merged.https_scan.funnel.names_total == len(population.deployments)
+        assert scan.handshake_total == quic_count
+        assert scan.quic_certificate_count == quic_count
+        assert scan.wild_count == quic_count
+        assert scan.sweep is None
+        assert scan.funnel.names_total == len(population.deployments)
         # One handshake per domain and the cache key includes the domain, so a
         # sweepless scan is all misses; every flight still lands in the cache.
-        assert merged.flight_cache.hits == 0
-        assert merged.flight_cache.misses == merged.flight_cache.currsize
+        assert scan.flight_cache.hits == 0
+        assert scan.flight_cache.misses == scan.flight_cache.currsize
 
     def test_sweep_on_hand_assembled_population(self, population):
         """Regression: sweep targets route by list index, not rank.
@@ -196,13 +175,16 @@ class TestShardedScanDeterminism:
         assert len(reachable) > len(sharded.sweep.observations) * 0.9
 
     def test_sweep_reuses_per_shard_caches(self, population):
-        merged = run_sharded_scan(
-            population, workers=1, shard_size=SHARD_SIZE,
-            run_sweep=True, sweep_sample_size=80,
-        )
+        scan = MeasurementCampaign(
+            population=population,
+            workers=1,
+            shard_size=SHARD_SIZE,
+            run_sweep=True,
+            sweep_sample_size=80,
+        ).run().scan
         # The sweep replays each sampled domain at every Initial size; all but
         # the first replay hit the shard's cache.
-        assert merged.flight_cache.hits > merged.flight_cache.misses
+        assert scan.flight_cache.hits > scan.flight_cache.misses
 
 
 class TestFieldSizeMemo:

@@ -63,9 +63,7 @@ class TestStreamingMatchesEager:
         assert sharded.flight_cache == streamed.flight_cache
         assert sharded.certificate_comparison == streamed.certificate_comparison
         assert class_shares(sharded) == class_shares(streamed)
-        assert (
-            sharded.https_scan.funnel.as_dict() == streamed.scan.funnel.as_dict()
-        )
+        assert sharded.scan == streamed.scan
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_count_does_not_change_report(self, workers):
