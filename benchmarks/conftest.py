@@ -12,7 +12,9 @@ import os
 
 import pytest
 
-from repro.scanners.orchestrator import CampaignResults, MeasurementCampaign
+from repro.scanners.orchestrator import MeasurementCampaign
+from repro.scanners.sharding import ShardScanResult, build_shard_tasks, scan_shard
+from repro.scanners.streaming import ReducedCampaignResults
 from repro.webpki.population import InternetPopulation, PopulationConfig, generate_population
 
 #: Population size used by the benchmark harness.  Overridable so CI smoke
@@ -29,7 +31,7 @@ def population() -> InternetPopulation:
 
 
 @pytest.fixture(scope="session")
-def campaign_results(population: InternetPopulation) -> CampaignResults:
+def campaign_results(population: InternetPopulation) -> ReducedCampaignResults:
     campaign = MeasurementCampaign(
         population=population,
         run_sweep=True,
@@ -37,3 +39,16 @@ def campaign_results(population: InternetPopulation) -> CampaignResults:
         spoofed_targets_per_provider=40,
     )
     return campaign.run()
+
+
+@pytest.fixture(scope="session")
+def shard_scan(population: InternetPopulation) -> ShardScanResult:
+    """Per-domain stages 1–4 over the whole population as one by-value shard,
+    with the campaign's sweep sample (the inputs of the figure benchmarks)."""
+    (task,) = build_shard_tasks(
+        population.deployments,
+        shard_size=len(population.deployments),
+        run_sweep=True,
+        sweep_sample_size=BENCH_SWEEP_SAMPLES,
+    )
+    return scan_shard(task)

@@ -3,11 +3,11 @@
 from repro.analysis.figures import compression
 
 
-def test_bench_compression(benchmark, campaign_results):
+def test_bench_compression(benchmark, population, shard_scan):
     result = benchmark(
         compression.compute,
-        campaign_results.quic_deployments(),
-        campaign_results.compression,
+        population.quic_services(),
+        shard_scan.compression,
     )
     print()
     print(result.render_text())

@@ -3,8 +3,13 @@
 from repro.analysis.figures import figure02b
 
 
-def test_bench_figure02b(benchmark, campaign_results):
-    certificates = figure02b.certificates_from_results(campaign_results)
+def test_bench_figure02b(benchmark, population):
+    certificates = [
+        certificate
+        for deployment in population.deployments
+        if deployment.delivered_chain is not None
+        for certificate in deployment.delivered_chain.certificates
+    ]
     result = benchmark(figure02b.compute, certificates)
     print()
     print(result.render_text())

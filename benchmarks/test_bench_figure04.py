@@ -3,8 +3,8 @@
 from repro.analysis.figures import figure04
 
 
-def test_bench_figure04(benchmark, campaign_results):
-    result = benchmark(figure04.compute, campaign_results.handshakes)
+def test_bench_figure04(benchmark, shard_scan):
+    result = benchmark(figure04.compute, shard_scan.handshakes)
     print()
     print(result.render_text())
     assert 3.0 < result.median < 6.0

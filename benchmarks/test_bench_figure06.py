@@ -3,11 +3,11 @@
 from repro.analysis.figures import figure06
 
 
-def test_bench_figure06(benchmark, campaign_results):
+def test_bench_figure06(benchmark, population):
     result = benchmark(
         figure06.compute,
-        campaign_results.quic_deployments(),
-        campaign_results.https_only_deployments(),
+        population.quic_services(),
+        population.https_only_services(),
     )
     print()
     print(result.render_text())

@@ -3,17 +3,17 @@
 from repro.analysis.figures import figure07
 
 
-def test_bench_figure07a(benchmark, campaign_results):
-    result = benchmark(figure07.compute, campaign_results.quic_deployments(), "QUIC services")
+def test_bench_figure07a(benchmark, population):
+    result = benchmark(figure07.compute, population.quic_services(), "QUIC services")
     print()
     print(result.render_text())
     assert result.top10_coverage > 0.9
     assert "Cloudflare" in result.rows[0].label
 
 
-def test_bench_figure07b(benchmark, campaign_results):
+def test_bench_figure07b(benchmark, population):
     result = benchmark(
-        figure07.compute, campaign_results.https_only_deployments(), "HTTPS-only services"
+        figure07.compute, population.https_only_services(), "HTTPS-only services"
     )
     print()
     print(result.render_text())

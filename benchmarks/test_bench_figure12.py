@@ -3,8 +3,8 @@
 from repro.analysis.figures import figure12
 
 
-def test_bench_figure12(benchmark, campaign_results):
-    deployments = list(campaign_results.population.deployments)
+def test_bench_figure12(benchmark, population):
+    deployments = list(population.deployments)
     result = benchmark(figure12.compute, deployments)
     print()
     print(result.render_text())

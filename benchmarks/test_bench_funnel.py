@@ -6,8 +6,8 @@ from repro.analysis.figures import funnel
 def test_bench_funnel(benchmark, campaign_results):
     result = benchmark(
         funnel.compute,
-        campaign_results.https_scan.funnel,
-        len(campaign_results.quic_deployments()),
+        campaign_results.https_funnel,
+        campaign_results.quic_count,
     )
     print()
     print(result.render_text())

@@ -27,8 +27,8 @@ def test_bench_certificate_chain_issuance(benchmark):
     assert chain.depth == 3
 
 
-def test_bench_handshake_simulation(benchmark, campaign_results):
-    deployment = campaign_results.quic_deployments()[0]
+def test_bench_handshake_simulation(benchmark, population):
+    deployment = population.quic_services()[0]
     client = QuicClientConfig(initial_datagram_size=1362)
 
     outcome = benchmark(
@@ -38,11 +38,11 @@ def test_bench_handshake_simulation(benchmark, campaign_results):
     assert outcome.handshake_class is not None
 
 
-def test_bench_quicreach_scan_100_services(benchmark, campaign_results):
-    network = campaign_results.population.build_network()
+def test_bench_quicreach_scan_100_services(benchmark, population):
+    network = population.build_network()
     scanner = QuicReach(network)
     targets = [
-        (d.domain, d.rank, d.provider) for d in campaign_results.quic_deployments()[:100]
+        (d.domain, d.rank, d.provider) for d in population.quic_services()[:100]
     ]
 
     observations = benchmark(scanner.scan_many, targets)

@@ -3,11 +3,11 @@
 from repro.analysis.figures import table02
 
 
-def test_bench_table02(benchmark, campaign_results):
+def test_bench_table02(benchmark, population):
     result = benchmark(
         table02.compute,
-        campaign_results.quic_deployments(),
-        campaign_results.https_only_deployments(),
+        population.quic_services(),
+        population.https_only_services(),
     )
     print()
     print(result.render_text())

@@ -31,7 +31,7 @@ def main() -> None:
     results = campaign.run()
 
     print()
-    print(funnel.compute(results.https_scan.funnel, len(results.quic_deployments())).render_text())
+    print(funnel.compute(results.https_funnel, results.quic_count).render_text())
 
     print()
     print("Handshake classes at a 1362-byte client Initial (paper §4.1):")
@@ -41,7 +41,7 @@ def main() -> None:
         print(f"  {handshake_class.value:<14s} {share:6.2%}")
 
     print()
-    chains = figure06.compute(results.quic_deployments(), results.https_only_deployments())
+    chains = figure06.compute(population.quic_services(), population.https_only_services())
     print(chains.render_text())
 
     print()

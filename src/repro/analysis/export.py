@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..core.ioutil import atomic_write_text
-from ..scanners.orchestrator import CampaignResults
+from ..scanners.streaming import ReducedCampaignResults
 from .dataset import Column, Table
-from .report import AnyCampaignResults, EvaluationReport, build_report
+from .report import EvaluationReport, build_report
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,13 @@ def _section_tables(name: str, section) -> Dict[str, Table]:
 
 
 def export_evaluation(
-    results: AnyCampaignResults,
+    results: ReducedCampaignResults,
     directory: str,
     report: EvaluationReport | None = None,
 ) -> ExportedFiles:
     """Write the full evaluation (text report + per-figure CSVs) to ``directory``.
 
-    ``results`` may be an eager :class:`CampaignResults` or a streamed
-    :class:`~repro.scanners.streaming.ReducedCampaignResults`; exported bytes
-    are identical either way.
+    Exported bytes are identical whichever campaign path produced ``results``.
     """
     os.makedirs(directory, exist_ok=True)
     report = report or build_report(results)

@@ -8,18 +8,20 @@ against real deployments.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 from ...core.compression_study import (
     CompressionStudyResult,
-    run_compression_study,
+    compress_chains,
     study_from_reduction,
 )
 from ...core.limits import LARGER_COMMON_LIMIT
-from ...scanners.compression_scanner import CompressionObservation, CompressionScanner
+from ...scanners.compression_scanner import CompressionObservation
 from ...tls.cert_compression import CertificateCompressionAlgorithm
 from ...webpki.deployment import DomainDeployment
+from . import table01
 
 
 @dataclass(frozen=True)
@@ -60,15 +62,29 @@ def compute(
     algorithm: CertificateCompressionAlgorithm = CertificateCompressionAlgorithm.BROTLI,
     limit_bytes: int = LARGER_COMMON_LIMIT,
 ) -> CompressionExperiment:
-    chains = [d.delivered_chain for d in deployments if d.delivered_chain is not None]
-    synthetic = run_compression_study(chains, algorithm, limit_bytes)
-    wild_rate = CompressionScanner.mean_compression_rate(observations, algorithm)
-    support = CompressionScanner.support_share(observations, algorithm)
-    return CompressionExperiment(
-        synthetic=synthetic,
-        wild_mean_rate=wild_rate,
-        wild_support_share=support,
-        limit_bytes=limit_bytes,
+    support_counts, wild_rates, _ = table01.accumulate_observations(observations)
+    return compute_from_reduction(
+        *accumulate_synthetic(deployments, algorithm, limit_bytes),
+        wild_rates[algorithm],
+        support_counts[algorithm],
+        len(observations),
+        algorithm,
+        limit_bytes,
+    )
+
+
+def accumulate_synthetic(
+    deployments: Iterable[DomainDeployment],
+    algorithm: CertificateCompressionAlgorithm,
+    limit_bytes: int,
+) -> Tuple[array, int, int, int]:
+    """The synthetic study's fold over the deployments' delivered chains:
+    rates in deployment order, chains below the limit uncompressed and
+    compressed, and the chain count."""
+    return compress_chains(
+        (d.delivered_chain for d in deployments if d.delivered_chain is not None),
+        algorithm,
+        limit_bytes,
     )
 
 
@@ -83,7 +99,7 @@ def compute_from_reduction(
     algorithm: CertificateCompressionAlgorithm = CertificateCompressionAlgorithm.BROTLI,
     limit_bytes: int = LARGER_COMMON_LIMIT,
 ) -> CompressionExperiment:
-    """Reduced-contract equivalent of :func:`compute` (byte-identical output)."""
+    """The experiment from the synthetic fold plus the wild measurements."""
     synthetic = study_from_reduction(
         algorithm,
         synthetic_rates,

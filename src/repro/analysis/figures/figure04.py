@@ -7,7 +7,7 @@ limit; the paper observes that factors remain relatively small, below ≈6×.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Iterable, Mapping, Sequence
 
 from ...scanners.quicreach import HandshakeObservation
 from ..cdf import EmpiricalCdf
@@ -46,23 +46,24 @@ class FirstRttAmplificationFigure:
 
 def compute(observations: Sequence[HandshakeObservation]) -> FirstRttAmplificationFigure:
     """Build the CDF from complete-handshake observations."""
-    factors: List[float] = [
-        o.amplification_factor
-        for o in observations
-        if o.reachable and o.exceeds_limit
-    ]
-    return FirstRttAmplificationFigure(
-        cdf=EmpiricalCdf.from_values(factors), service_count=len(factors)
-    )
+    factor_counts: Dict[float, int] = {}
+    accumulate_factor_counts(observations, factor_counts)
+    return compute_from_counts(factor_counts)
 
 
-def compute_from_counts(factor_counts) -> FirstRttAmplificationFigure:
-    """Reduced-contract equivalent of :func:`compute`.
+def accumulate_factor_counts(
+    observations: Iterable[HandshakeObservation], factor_counts: Dict[float, int]
+) -> None:
+    """Fold the first-RTT amplification factor of every reachable,
+    limit-exceeding handshake into a ``factor -> multiplicity`` map."""
+    for observation in observations:
+        if observation.reachable and observation.exceeds_limit:
+            factor = observation.amplification_factor
+            factor_counts[factor] = factor_counts.get(factor, 0) + 1
 
-    ``factor_counts`` maps an amplification factor to how often limit-exceeding
-    reachable handshakes produced it; the merged streaming accumulators carry
-    the same multiset the eager path collects, so the CDF is identical.
-    """
+
+def compute_from_counts(factor_counts: Mapping[float, int]) -> FirstRttAmplificationFigure:
+    """The figure from a merged ``factor -> multiplicity`` map."""
     return FirstRttAmplificationFigure(
         cdf=EmpiricalCdf.from_counts(factor_counts),
         service_count=sum(factor_counts.values()),

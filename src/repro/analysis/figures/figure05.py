@@ -9,12 +9,12 @@ contribute thousands of bytes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from ...quic.handshake import HandshakeClass
 from ...scanners.quicreach import HandshakeObservation
-from ..stats import share
 
 
 @dataclass(frozen=True)
@@ -46,22 +46,35 @@ class MultiRttPayloadFigure:
 
 def compute(observations: Sequence[HandshakeObservation]) -> MultiRttPayloadFigure:
     """Aggregate multi-RTT observations into the Figure 5 series."""
-    multi_rtt = [
-        o
-        for o in observations
-        if o.reachable and o.handshake_class is HandshakeClass.MULTI_RTT
-    ]
-    multi_rtt.sort(key=lambda o: o.total_bytes)
-    entries = tuple(
-        (o.tls_payload_bytes, o.total_bytes, 3 * o.initial_size) for o in multi_rtt
-    )
-    exceeds = share(multi_rtt, lambda o: o.tls_payload_bytes > 3 * o.initial_size)
-    max_overhead = max((o.quic_overhead_bytes for o in multi_rtt), default=0)
-    return MultiRttPayloadFigure(
-        entries=entries,
-        share_tls_alone_exceeds=exceeds,
-        max_quic_overhead=max_overhead,
-    )
+    tls, total, limit = array("q"), array("q"), array("q")
+    exceeds, max_overhead = accumulate_rows(observations, tls, total, limit)
+    return compute_from_rows(tuple(zip(tls, total, limit)), exceeds, max_overhead)
+
+
+def accumulate_rows(
+    observations: Iterable[HandshakeObservation], tls: array, total: array, limit: array
+) -> Tuple[int, int]:
+    """Append one ``(tls_bytes, total_bytes, limit_bytes)`` row per reachable
+    multi-RTT handshake to the three parallel arrays, in observation order.
+
+    Returns how many of those rows have TLS bytes alone above the limit, and
+    the largest remaining-QUIC-bytes contribution (0 when there is none).
+    """
+    exceeds = max_overhead = 0
+    for observation in observations:
+        if not observation.reachable:
+            continue
+        if observation.handshake_class is not HandshakeClass.MULTI_RTT:
+            continue
+        row_limit = 3 * observation.initial_size
+        tls.append(observation.tls_payload_bytes)
+        total.append(observation.total_bytes)
+        limit.append(row_limit)
+        if observation.tls_payload_bytes > row_limit:
+            exceeds += 1
+        if observation.quic_overhead_bytes > max_overhead:
+            max_overhead = observation.quic_overhead_bytes
+    return exceeds, max_overhead
 
 
 def compute_from_rows(
@@ -69,12 +82,11 @@ def compute_from_rows(
     exceeds_count: int,
     max_overhead: int,
 ) -> MultiRttPayloadFigure:
-    """Reduced-contract equivalent of :func:`compute`.
+    """The figure from :func:`accumulate_rows` output.
 
     ``rows`` are the per-multi-RTT-handshake ``(tls_bytes, total_bytes,
     limit_bytes)`` triples in observation (= shard concatenation) order; the
-    stable sort by total bytes therefore breaks ties exactly like the eager
-    path sorting the observations themselves.
+    stable sort by total bytes breaks ties by that order.
     """
     entries = tuple(sorted(rows, key=lambda row: row[1]))
     exceeds = exceeds_count / len(rows) if rows else 0.0

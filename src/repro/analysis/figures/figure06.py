@@ -9,7 +9,7 @@ common amplification limit of 3×1357 bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from ...core.limits import LARGER_COMMON_LIMIT
 from ...webpki.deployment import DomainDeployment
@@ -68,25 +68,36 @@ def compute(
     https_only_deployments: Sequence[DomainDeployment],
     limit_bytes: int = LARGER_COMMON_LIMIT,
 ) -> ChainSizeDistributions:
-    quic_sizes: List[int] = [
-        d.delivered_chain.total_size for d in quic_deployments if d.delivered_chain is not None
-    ]
-    https_sizes: List[int] = [
-        d.https_chain.total_size for d in https_only_deployments if d.https_chain is not None
-    ]
-    return ChainSizeDistributions(
-        quic_cdf=EmpiricalCdf.from_values(quic_sizes),
-        https_only_cdf=EmpiricalCdf.from_values(https_sizes),
-        limit_bytes=limit_bytes,
+    return compute_from_counts(
+        *accumulate_chain_sizes(quic_deployments, https_only_deployments), limit_bytes
     )
 
 
+def accumulate_chain_sizes(
+    quic_deployments: Iterable[DomainDeployment],
+    https_only_deployments: Iterable[DomainDeployment],
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """``size -> multiplicity`` maps of the QUIC services' delivered chains
+    and the HTTPS-only services' HTTPS chains."""
+    quic_counts: Dict[int, int] = {}
+    for deployment in quic_deployments:
+        chain = deployment.delivered_chain
+        if chain is not None:
+            quic_counts[chain.total_size] = quic_counts.get(chain.total_size, 0) + 1
+    https_counts: Dict[int, int] = {}
+    for deployment in https_only_deployments:
+        chain = deployment.https_chain
+        if chain is not None:
+            https_counts[chain.total_size] = https_counts.get(chain.total_size, 0) + 1
+    return quic_counts, https_counts
+
+
 def compute_from_counts(
-    quic_size_counts,
-    https_only_size_counts,
+    quic_size_counts: Mapping[int, int],
+    https_only_size_counts: Mapping[int, int],
     limit_bytes: int = LARGER_COMMON_LIMIT,
 ) -> ChainSizeDistributions:
-    """Reduced-contract equivalent of :func:`compute` over size accumulators."""
+    """The two CDFs from merged chain-size accumulators."""
     return ChainSizeDistributions(
         quic_cdf=EmpiricalCdf.from_counts(quic_size_counts),
         https_only_cdf=EmpiricalCdf.from_counts(https_only_size_counts),

@@ -10,9 +10,8 @@ HTTPS-only services (72 %).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ...core.limits import COMMON_AMPLIFICATION_LIMITS
 from ...webpki.deployment import DomainDeployment
@@ -85,33 +84,9 @@ def compute(
     top_n: int = 10,
 ) -> TopParentChainsFigure:
     """Group deployments by parent chain and build the top-N rows."""
-    groups: Dict[Tuple[str, ...], List[DomainDeployment]] = defaultdict(list)
-    total = 0
-    for deployment in deployments:
-        chain = deployment.delivered_chain
-        if chain is None:
-            continue
-        if not chain.is_correctly_ordered():
-            continue  # the paper excludes incorrectly ordered chains here
-        groups[chain.parent_chain_key()].append(deployment)
-        total += 1
-
-    ranked = sorted(groups.items(), key=lambda item: len(item[1]), reverse=True)[:top_n]
-    rows: List[ParentChainRow] = []
-    for key, members in ranked:
-        leaf_sizes = [d.delivered_chain.leaf_size for d in members]
-        parent_sizes = members[0].delivered_chain.sizes_by_depth()[1:]
-        rows.append(
-            ParentChainRow(
-                parent_chain=key,
-                share=len(members) / total if total else 0.0,
-                service_count=len(members),
-                parent_sizes_by_depth=tuple(parent_sizes),
-                median_leaf_size=int(median(leaf_sizes)),
-                max_leaf_size=max(leaf_sizes),
-            )
-        )
-    return TopParentChainsFigure(group_label=group_label, rows=tuple(rows), total_services=total)
+    groups: Dict[Tuple[str, ...], ParentChainStats] = {}
+    total = accumulate_groups(deployments, groups, 0)
+    return compute_from_groups(groups, group_label, total, top_n)
 
 
 @dataclass
@@ -120,8 +95,8 @@ class ParentChainStats:
 
     ``first_index`` is the global deployment index of the group's first member
     — merging keeps the minimum, so the merged ``parent_sizes_by_depth`` and
-    the ranking's tie-break both follow the eager path's first-occurrence
-    (deployment-order) semantics.
+    the ranking's tie-break both follow first occurrence in deployment order,
+    however the deployments were sharded.
     """
 
     count: int
@@ -146,7 +121,8 @@ def accumulate_groups(
     """Fold deployments into per-parent-chain stats; returns the group total.
 
     ``index_offset`` is the global index of ``deployments[0]`` so first-member
-    bookkeeping stays consistent across shards.
+    bookkeeping stays consistent across shards.  Incorrectly ordered chains
+    are left out, as in the paper.
     """
     total = 0
     for position, deployment in enumerate(deployments):
@@ -154,20 +130,13 @@ def accumulate_groups(
         if chain is None or not chain.is_correctly_ordered():
             continue
         total += 1
-        key = chain.parent_chain_key()
-        stats = groups.get(key)
-        if stats is None:
-            groups[key] = ParentChainStats(
-                count=1,
-                leaf_size_counts={chain.leaf_size: 1},
-                first_index=index_offset + position,
-                parent_sizes=tuple(chain.sizes_by_depth()[1:]),
-            )
-        else:
-            stats.count += 1
-            stats.leaf_size_counts[chain.leaf_size] = (
-                stats.leaf_size_counts.get(chain.leaf_size, 0) + 1
-            )
+        fold_group_member(
+            groups,
+            chain.parent_chain_key(),
+            chain.leaf_size,
+            index_offset + position,
+            tuple(chain.sizes_by_depth()[1:]),
+        )
     return total
 
 
@@ -180,10 +149,10 @@ def fold_group_member(
 ) -> None:
     """Fold one pre-resolved chain into its parent-chain group.
 
-    The columnar backend computes ``key``/``parent_sizes`` once per distinct
-    parent tuple and calls this per chain in deployment order, so
-    ``first_index`` and the first-member ``parent_sizes`` keep exactly the
-    semantics of :func:`accumulate_groups`.
+    Called per chain in deployment order, by :func:`accumulate_groups` and by
+    the columnar backend (which computes ``key``/``parent_sizes`` once per
+    distinct parent tuple), so the first member fixes ``first_index`` and
+    ``parent_sizes``.
     """
     stats = groups.get(key)
     if stats is None:
@@ -204,7 +173,10 @@ def compute_from_groups(
     total: int,
     top_n: int = 10,
 ) -> TopParentChainsFigure:
-    """Reduced-contract equivalent of :func:`compute` (byte-identical output)."""
+    """Top-N rows from merged group stats.
+
+    Groups are ranked by size; ties keep first-occurrence (deployment) order.
+    """
     ordered = sorted(groups.items(), key=lambda item: item[1].first_index)
     ranked = sorted(ordered, key=lambda item: item[1].count, reverse=True)[:top_n]
     rows: List[ParentChainRow] = []

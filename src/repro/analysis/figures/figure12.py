@@ -63,35 +63,7 @@ def compute(
     group_count: int = 10,
 ) -> RankGroupShares:
     """Split the population into ``group_count`` equal rank groups."""
-    if not deployments:
-        return RankGroupShares((), (), (), ())
-    max_rank = max(d.rank for d in deployments)
-    group_size = max(1, math.ceil(max_rank / group_count))
-
-    labels: List[str] = []
-    quic_shares: List[float] = []
-    https_shares: List[float] = []
-    sizes: List[int] = []
-    for group_index in range(group_count):
-        start = group_index * group_size + 1
-        end = (group_index + 1) * group_size + 1
-        members = [d for d in deployments if start <= d.rank < end]
-        if not members:
-            continue
-        labels.append(f"[{start}, {end})")
-        sizes.append(len(members))
-        quic_shares.append(
-            sum(1 for d in members if d.category is ServiceCategory.QUIC) / len(members)
-        )
-        https_shares.append(
-            sum(1 for d in members if d.category is ServiceCategory.HTTPS_ONLY) / len(members)
-        )
-    return RankGroupShares(
-        group_labels=tuple(labels),
-        quic_shares=tuple(quic_shares),
-        https_only_shares=tuple(https_shares),
-        group_sizes=tuple(sizes),
-    )
+    return compute_from_category_runs(category_runs(deployments), group_count)
 
 
 #: Stable wire codes for :class:`ServiceCategory` in streaming reductions.
@@ -119,11 +91,19 @@ def rank_runs(ranks: Sequence[int], codes: bytes) -> Tuple[Tuple[int, bytes], ..
     return tuple(runs)
 
 
+def category_runs(deployments: Sequence[DomainDeployment]) -> Tuple[Tuple[int, bytes], ...]:
+    """The :func:`rank_runs` of some deployments, in their given order."""
+    return rank_runs(
+        [deployment.rank for deployment in deployments],
+        bytes(CATEGORY_CODES[deployment.category] for deployment in deployments),
+    )
+
+
 def compute_from_category_runs(
     runs: Sequence[Tuple[int, bytes]],
     group_count: int = 10,
 ) -> RankGroupShares:
-    """Reduced-contract equivalent of :func:`compute`.
+    """Rank-group shares from category runs.
 
     ``runs`` are rank-contiguous ``(start_rank, category_codes)`` byte strings
     (:func:`rank_runs`, in shard order), one code per deployment — the shape

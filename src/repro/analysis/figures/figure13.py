@@ -8,8 +8,11 @@ groups, with 1-RTT handshakes noticeably more common only in the top group.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ...quic.handshake import HandshakeClass
 from ...scanners.quicreach import HandshakeObservation
@@ -77,32 +80,10 @@ def compute(
     observations: Sequence[HandshakeObservation],
     group_count: int = 10,
 ) -> RankGroupHandshakeClasses:
-    reachable = [o for o in observations if o.reachable and o.handshake_class is not None]
-    if not reachable:
-        return RankGroupHandshakeClasses((), {}, {})
-    max_rank = max(o.rank for o in reachable)
-    group_size = max(1, math.ceil(max_rank / group_count))
-
-    labels: List[str] = []
-    shares: Dict[str, Dict[HandshakeClass, float]] = {}
-    counts: Dict[str, int] = {}
-    for group_index in range(group_count):
-        start = group_index * group_size + 1
-        end = (group_index + 1) * group_size + 1
-        members = [o for o in reachable if start <= o.rank < end]
-        if not members:
-            continue
-        label = f"[{start}, {end})"
-        labels.append(label)
-        counts[label] = len(members)
-        shares[label] = {
-            handshake_class: sum(1 for o in members if o.handshake_class is handshake_class)
-            / len(members)
-            for handshake_class in CLASS_ORDER
-        }
-    return RankGroupHandshakeClasses(
-        group_labels=tuple(labels), shares=shares, group_counts=counts
-    )
+    """Per-rank-group class shares of the reachable, classified handshakes."""
+    ranks, class_codes = array("q"), bytearray()
+    accumulate_series(observations, ranks, class_codes)
+    return compute_from_series(ranks, bytes(class_codes), group_count)
 
 
 #: Stable wire codes for the four reachable handshake classes.
@@ -111,21 +92,34 @@ CLASS_CODES: Dict[HandshakeClass, int] = {
 }
 
 
+def accumulate_series(
+    observations: Iterable[HandshakeObservation], ranks: array, class_codes: bytearray
+) -> None:
+    """Append the rank and class code of every reachable, classified
+    handshake to the two parallel series, in observation order."""
+    for observation in observations:
+        if observation.reachable and observation.handshake_class is not None:
+            ranks.append(observation.rank)
+            class_codes.append(CLASS_CODES[observation.handshake_class])
+
+
 def compute_from_series(
     ranks: Sequence[int],
     class_codes: bytes,
     group_count: int = 10,
 ) -> RankGroupHandshakeClasses:
-    """Reduced-contract equivalent of :func:`compute`.
+    """Per-rank-group class shares from the :func:`accumulate_series` output.
 
-    ``ranks`` (ascending — observations are collected in rank order) and
-    ``class_codes`` are the parallel compact series of the reachable,
-    classified handshake observations.
+    ``class_codes`` is parallel to ``ranks``; the pairs may come in any order
+    (a population's list need not be rank-sorted).  They are stable-sorted by
+    rank before the group windows are bisected — linear on the usual,
+    already-ascending input.
     """
-    from bisect import bisect_left
-
     if not ranks:
         return RankGroupHandshakeClasses((), {}, {})
+    pairs = sorted(zip(ranks, class_codes), key=itemgetter(0))
+    ranks = [rank for rank, _ in pairs]
+    class_codes = bytes(code for _, code in pairs)
     max_rank = max(ranks)
     group_size = max(1, math.ceil(max_rank / group_count))
 

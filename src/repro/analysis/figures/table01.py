@@ -6,11 +6,12 @@ shares and mean compression rates from the compression scanner.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ...core.limits import BROWSER_PROFILES, BrowserProfile
-from ...scanners.compression_scanner import CompressionObservation, CompressionScanner
+from ...scanners.compression_scanner import ALL_ALGORITHMS, CompressionObservation
 from ...tls.cert_compression import CertificateCompressionAlgorithm
 from ..dataset import Column, Table
 
@@ -67,26 +68,36 @@ class BrowserCompressionTable:
 
 
 def compute(observations: Sequence[CompressionObservation]) -> BrowserCompressionTable:
-    support_shares = {
-        algorithm: CompressionScanner.support_share(observations, algorithm)
-        for algorithm in CertificateCompressionAlgorithm
-    }
-    mean_rates = {
-        algorithm: CompressionScanner.mean_compression_rate(observations, algorithm)
-        for algorithm in CertificateCompressionAlgorithm
-    }
-    all_three = (
-        sum(1 for o in observations if o.supports_all_three) / len(observations)
-        if observations
-        else 0.0
-    )
-    return BrowserCompressionTable(
-        browsers=dict(BROWSER_PROFILES),
-        support_shares=support_shares,
-        mean_rates=mean_rates,
-        all_three_share=all_three,
-        scanned_services=len(observations),
-    )
+    support_counts, rates, all_three = accumulate_observations(observations)
+    return compute_from_reduction(support_counts, rates, all_three, len(observations))
+
+
+def accumulate_observations(
+    observations: Iterable[CompressionObservation],
+) -> Tuple[
+    Dict[CertificateCompressionAlgorithm, int],
+    Dict[CertificateCompressionAlgorithm, array],
+    int,
+]:
+    """Fold compression-scan observations into the Table 1 inputs.
+
+    Returns, per algorithm, how many services support it and their measured
+    compression rates (in observation order), plus how many services
+    support all three algorithms.
+    """
+    support_counts = {algorithm: 0 for algorithm in ALL_ALGORITHMS}
+    rates = {algorithm: array("d") for algorithm in ALL_ALGORITHMS}
+    all_three = 0
+    for observation in observations:
+        if observation.supports_all_three:
+            all_three += 1
+        for algorithm in ALL_ALGORITHMS:
+            if observation.supports(algorithm):
+                support_counts[algorithm] += 1
+            rate = observation.compression_rate(algorithm)
+            if rate is not None:
+                rates[algorithm].append(rate)
+    return support_counts, rates, all_three
 
 
 def compute_from_reduction(
@@ -95,11 +106,11 @@ def compute_from_reduction(
     all_three_count: int,
     scanned_services: int,
 ) -> BrowserCompressionTable:
-    """Reduced-contract equivalent of :func:`compute`.
+    """The table from merged :func:`accumulate_observations` output.
 
     ``rates`` holds each algorithm's measured compression rates in observation
-    (= shard concatenation) order, so the mean is the same left-to-right float
-    sum the eager path computes.
+    (= shard concatenation) order, so the mean is one left-to-right float sum
+    whatever the sharding.
     """
     support_shares = {
         algorithm: (support_counts.get(algorithm, 0) / scanned_services if scanned_services else 0.0)

@@ -48,11 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--workers", type=int, default=None,
-        help="scan shards in this many worker processes (default: single-process serial)",
+        help="scan shards in this many worker processes (default: 1, in this process)",
     )
     campaign.add_argument(
         "--shard-size", type=int, default=None,
-        help="deployments per scan shard (default: 2048; implies the sharded runner)",
+        help="deployments per scan shard (default: 2048)",
     )
     campaign.add_argument(
         "--stream", action="store_true",
@@ -89,9 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--timings", action="store_true",
-        help="print per-phase wall clock (generation / campaign / report) to "
-             "stderr; see scripts/profile_campaign.py --phases for the full "
-             "per-stage breakdown",
+        help="print per-phase wall clock (generation / campaign / report; "
+             "streamed runs generate inside the campaign phase) to stderr; see "
+             "scripts/profile_campaign.py --phases for the full per-stage "
+             "breakdown",
     )
     campaign.add_argument(
         "--scenario", type=str, default=None, metavar="NAME|FILE.json",
@@ -315,8 +316,13 @@ def _run_campaign(args: argparse.Namespace) -> int:
     report = build_report(results, include_sweep=args.sweep)
     t3 = time.perf_counter()
     if args.timings:
-        print(f"population generation: {t1 - t0:8.2f} s", file=sys.stderr)
-        print(f"campaign:              {t2 - t1:8.2f} s", file=sys.stderr)
+        if args.stream:
+            # Streamed shards generate their deployments inside the shard
+            # visit, so generation is not a phase of its own.
+            print(f"generation + campaign: {t2 - t1:8.2f} s", file=sys.stderr)
+        else:
+            print(f"population generation: {t1 - t0:8.2f} s", file=sys.stderr)
+            print(f"campaign:              {t2 - t1:8.2f} s", file=sys.stderr)
         print(f"report:                {t3 - t2:8.2f} s", file=sys.stderr)
     if args.output:
         from .core.ioutil import atomic_write_text

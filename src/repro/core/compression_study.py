@@ -8,8 +8,9 @@ multi-RTT handshakes back into 1-RTT handshakes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from ..tls.cert_compression import (
     CertificateCompressionAlgorithm,
@@ -65,31 +66,30 @@ def run_compression_study(
     limit_bytes: int = LARGER_COMMON_LIMIT,
 ) -> CompressionStudyResult:
     """Compress every chain and summarise rates and limit compliance."""
-    rates: List[float] = []
-    below_uncompressed = 0
-    below_compressed = 0
-    count = 0
+    return study_from_reduction(
+        algorithm, *compress_chains(chains, algorithm, limit_bytes), limit_bytes
+    )
+
+
+def compress_chains(
+    chains: Iterable[CertificateChain],
+    algorithm: CertificateCompressionAlgorithm,
+    limit_bytes: int,
+) -> Tuple[array, int, int, int]:
+    """Compress every chain: its rates in chain order, how many chains fit
+    ``limit_bytes`` uncompressed and compressed, and the chain count."""
+    rates = array("d")
+    below_uncompressed = below_compressed = 0
     for chain in chains:
         result: CompressionResult = compress_certificate_chain(
             [cert.der for cert in chain], algorithm
         )
         rates.append(result.ratio)
-        count += 1
         if result.uncompressed_size <= limit_bytes:
             below_uncompressed += 1
         if result.compressed_size <= limit_bytes:
             below_compressed += 1
-    if count == 0:
-        return CompressionStudyResult(algorithm, 0, 0.0, 0.0, 0.0, 0.0, limit_bytes)
-    return CompressionStudyResult(
-        algorithm=algorithm,
-        chain_count=count,
-        median_compression_rate=_median(rates),
-        mean_compression_rate=sum(rates) / count,
-        share_below_limit_uncompressed=below_uncompressed / count,
-        share_below_limit_compressed=below_compressed / count,
-        limit_bytes=limit_bytes,
-    )
+    return rates, below_uncompressed, below_compressed, len(rates)
 
 
 def run_all_algorithms(
@@ -111,10 +111,10 @@ def study_from_reduction(
     chain_count: int,
     limit_bytes: int = LARGER_COMMON_LIMIT,
 ) -> CompressionStudyResult:
-    """Rebuild the study summary from streamed per-chain reductions.
+    """The study summary from :func:`compress_chains` output.
 
     ``rates`` must be in chain (= shard concatenation) order so the mean is
-    the identical left-to-right float sum of :func:`run_compression_study`.
+    one left-to-right float sum whatever the sharding.
     """
     if chain_count == 0:
         return CompressionStudyResult(algorithm, 0, 0.0, 0.0, 0.0, 0.0, limit_bytes)

@@ -114,16 +114,6 @@ class FlightPlanCache:
 _SHARED_FLIGHT_CACHE = FlightPlanCache()
 
 
-def flight_plan_cache_info() -> FlightCacheInfo:
-    """Counters of the shared flight-plan cache."""
-    return _SHARED_FLIGHT_CACHE.cache_info()
-
-
-def reset_flight_plan_cache() -> None:
-    """Drop all shared cache entries and reset the counters."""
-    _SHARED_FLIGHT_CACHE.clear()
-
-
 @dataclass(frozen=True)
 class ServerFlightPlan:
     """Everything the server would transmit, split around address validation."""

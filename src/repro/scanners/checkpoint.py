@@ -49,7 +49,9 @@ from ..core.ioutil import (
     quarantine_file,
 )
 from ..scenarios import BASELINE
+from ..tls.cert_compression import CertificateCompressionAlgorithm
 from ..webpki.population import PopulationConfig
+from .quicreach import DEFAULT_ANALYSIS_INITIAL_SIZE, SWEEP_INITIAL_SIZES
 
 #: Checkpoint file format tag; bump on any incompatible layout change so old
 #: files are quarantined (and regenerated) instead of misparsed.
@@ -184,24 +186,31 @@ class CheckpointStore:
         run_sweep: bool = False,
         sweep_sample_size: Optional[int] = None,
         spoof_limit_per_provider: int = 60,
+        analysis_initial_size: int = DEFAULT_ANALYSIS_INITIAL_SIZE,
+        analysis_compression: Sequence[CertificateCompressionAlgorithm] = (),
+        sweep_initial_sizes: Sequence[int] = SWEEP_INITIAL_SIZES,
     ) -> None:
         """Claim this directory for one campaign (or verify an existing claim).
 
         The claim covers everything that shapes a shard summary: seed, size,
         shard size, every generation knob (``population_fingerprint``), the
-        scenario, whether and how widely the Initial-size sweep samples, and
-        the per-provider spoof-target cap.  A directory whose
-        ``campaign.json`` differs in any of them — or predates one of them —
-        is rejected: resuming from it would fold in summaries a fresh run
-        would never produce.
+        scenario, the analysis scan's effective Initial size and client
+        compression offer, whether, how widely and at which Initial sizes the
+        sweep samples, and the per-provider spoof-target cap.  A directory
+        whose ``campaign.json`` differs in any of them — or predates one of
+        them — is rejected: resuming from it would fold in summaries a fresh
+        run would never produce.
         """
         expected = self._shared_metadata(config, shard_size, spoof_limit_per_provider)
         expected.update(
             scenario_fingerprint=scenario_fingerprint_of(config),
             scenario=(config.scenario or BASELINE).name,
+            analysis_initial_size=analysis_initial_size,
+            analysis_compression=[algorithm.label for algorithm in analysis_compression],
             run_sweep=run_sweep,
-            # The sample size only shapes summaries of sweeping campaigns.
+            # The sample and its sizes only shape summaries of sweeping campaigns.
             sweep_sample_size=sweep_sample_size if run_sweep else None,
+            sweep_initial_sizes=list(sweep_initial_sizes) if run_sweep else None,
         )
         self._verify_or_claim(expected)
 

@@ -95,27 +95,3 @@ class CompressionScanner:
             if observation is not None:
                 observations.append(observation)
         return observations
-
-    @staticmethod
-    def support_share(
-        observations: Sequence[CompressionObservation],
-        algorithm: CertificateCompressionAlgorithm,
-    ) -> float:
-        """Share of scanned services supporting ``algorithm`` (Table 1, last column)."""
-        if not observations:
-            return 0.0
-        return sum(1 for o in observations if o.supports(algorithm)) / len(observations)
-
-    @staticmethod
-    def mean_compression_rate(
-        observations: Sequence[CompressionObservation],
-        algorithm: CertificateCompressionAlgorithm,
-    ) -> Optional[float]:
-        rates = [
-            rate
-            for rate in (o.compression_rate(algorithm) for o in observations)
-            if rate is not None
-        ]
-        if not rates:
-            return None
-        return sum(rates) / len(rates)

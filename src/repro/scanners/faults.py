@@ -9,7 +9,7 @@ truncated on disk, or the whole run is killed right after a shard's
 checkpoint lands (the CI kill-and-resume smoke).  Because every fault is
 keyed deterministically, the recovery paths of the shard loop
 (:mod:`repro.scanners.streaming`, shared by single and grid campaigns) and of
-eager sharded runs can be pinned by byte-identity tests: an injected run must
+eager runs can be pinned by byte-identity tests: an injected run must
 end in exactly the report an uninterrupted run produces.
 
 Plans are plain frozen dataclasses of primitives — picklable (they ride

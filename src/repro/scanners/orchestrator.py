@@ -7,23 +7,24 @@ Runs the full pipeline of the paper against a synthetic population:
 3. certificates over QUIC and the QUIC-vs-HTTPS comparison,
 4. certificate-compression support scan,
 5. incomplete handshakes: spoofed-source campaign observed by a telescope plus
-   the ZMap-style scan of the Meta point of presence,
+   the ZMap-style scan of the Meta point of presence.
 
-and bundles everything into :class:`CampaignResults`, the single input the
-analysis layer (and therefore every figure and table) works from.
+Stages 1–4 run shard by shard and are reduced
+(:mod:`repro.scanners.streaming`); stage 5 runs in the parent.  The result is
+a :class:`~repro.scanners.streaming.ReducedCampaignResults`, the single input
+the analysis layer (and therefore every figure and table) works from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..netsim.address import IPv4Prefix
 from ..netsim.network import UdpNetwork
 from ..netsim.telescope import Telescope
-from ..quic.server import FlightCacheInfo, FlightPlanCache, flight_plan_cache_info
+from ..quic.server import FlightCacheInfo, FlightPlanCache
 from ..scenarios import BASELINE, ScenarioSpec
-from ..webpki.deployment import DomainDeployment, ServiceCategory
+from ..webpki.deployment import DomainDeployment
 from ..webpki.population import (
     InternetPopulation,
     PopulationConfig,
@@ -31,35 +32,24 @@ from ..webpki.population import (
     build_network_for,
     generate_population,
 )
+from .backscatter import BackscatterAnalyzer, simulate_spoofed_campaign
 from .columnar import resolve_scan_backend
+from .quicreach import DEFAULT_ANALYSIS_INITIAL_SIZE
 from .sharding import (
     DEFAULT_SHARD_SIZE,
     build_shard_tasks,
     dispatch_with_retry,
-    global_sweep_sample,
+    effective_analysis,
 )
 from .streaming import (
     CampaignReducer,
     META_SERVICE_DOMAINS,
     ReducedCampaignResults,
     ReductionSpec,
-    SPOOF_PROVIDERS,
     _scan_and_summarize,
     provider_of_domain,
     run_streaming_grid_scan,
     run_streaming_scan,
-    take_per_provider,
-)
-from .backscatter import BackscatterAnalyzer, ProviderBackscatter, simulate_spoofed_campaign
-from .compression_scanner import CompressionObservation, CompressionScanner
-from .https_scanner import HttpsScanner, HttpsScanResult
-from .qscanner import CertificateComparison, QScanner, QuicCertificateRecord
-from .quicreach import (
-    DEFAULT_ANALYSIS_INITIAL_SIZE,
-    HandshakeObservation,
-    InitialSizeSweep,
-    QuicReach,
-    SweepResult,
 )
 from .zmap import ZmapProbeResult, ZmapScanner
 
@@ -71,66 +61,21 @@ META_POP_PREFIX = IPv4Prefix.parse("157.240.20.0/24")
 
 # META_SERVICE_DOMAINS lives in .streaming next to provider_of_domain (the
 # shared provider lookup); re-exported here for its historical import site.
-__all__ = ["CampaignResults", "MeasurementCampaign", "META_SERVICE_DOMAINS"]
-
-
-@dataclass
-class CampaignResults:
-    """Everything a full measurement campaign produced."""
-
-    population: InternetPopulation
-    https_scan: HttpsScanResult
-    handshakes: List[HandshakeObservation]
-    sweep: Optional[SweepResult]
-    quic_certificates: List[QuicCertificateRecord]
-    certificate_comparison: CertificateComparison
-    compression: List[CompressionObservation]
-    backscatter: Dict[str, ProviderBackscatter]
-    meta_probe_before: List[ZmapProbeResult]
-    meta_probe_after: List[ZmapProbeResult]
-    analysis_initial_size: int = DEFAULT_ANALYSIS_INITIAL_SIZE
-    #: Flight-plan cache counters accumulated while this campaign ran.
-    flight_cache: Optional[FlightCacheInfo] = None
-    #: Scenario the campaign ran under (``None``: plain baseline pipeline);
-    #: non-identity scenarios are stamped into the report header.
-    scenario: Optional[ScenarioSpec] = None
-
-    # -- convenience accessors used by the figure modules ----------------------
-
-    def quic_deployments(self) -> List[DomainDeployment]:
-        return self.population.quic_services()
-
-    def https_only_deployments(self) -> List[DomainDeployment]:
-        return self.population.https_only_services()
-
-    def reachable_handshakes(self) -> List[HandshakeObservation]:
-        return [o for o in self.handshakes if o.reachable]
-
-    def provider_of(self, domain: str) -> Optional[str]:
-        """Provider of a scanned domain.
-
-        Routes through the shared stage-5 lookup, so Meta PoP service domains
-        resolve to ``"meta"`` even when absent from the population (they are
-        always probed); any other unknown domain is ``None``.
-        """
-        return provider_of_domain(domain, self.population.deployment)
+__all__ = ["MeasurementCampaign", "META_SERVICE_DOMAINS"]
 
 
 class MeasurementCampaign:
     """Configures and runs the full measurement pipeline.
 
-    ``run()`` takes one of three paths, and every path renders the same
-    report bytes:
+    ``run()`` takes one of two paths; both return a
+    :class:`~repro.scanners.streaming.ReducedCampaignResults` and render the
+    same report bytes:
 
-    * **serial** (the default, ``workers``/``shard_size`` left ``None``):
-      stages 1–4 run over the whole population in this process and return a
-      :class:`CampaignResults` of per-domain observations;
-    * **eager sharded** (``workers``/``shard_size`` given, or the
-      ``columnar`` backend): the materialised population is cut into
-      rank-contiguous shards shipped to ``workers`` processes by value, each
-      shard is reduced to a :class:`~repro.scanners.streaming.ShardSummary`
-      and ``run()`` returns a
-      :class:`~repro.scanners.streaming.ReducedCampaignResults`;
+    * **eager** (the default): the materialised population is cut into
+      rank-contiguous shards shipped by value to ``workers`` processes (one
+      unless given, so the default runs in this process), and each shard is
+      scanned on the ``object`` backend unless another is given and reduced
+      to a :class:`~repro.scanners.streaming.ShardSummary`;
     * **streamed** (``stream=True``): the population is regenerated shard by
       shard inside the workers, as a one-member grid of the campaign's own
       scenario (:mod:`repro.scanners.streaming`), and reduced the same way —
@@ -138,9 +83,9 @@ class MeasurementCampaign:
       practical.  Streaming regenerates from ``population_config``; passing
       a materialised ``population`` would defeat the point and is rejected.
 
-    The telescope/ZMap stage (5) always runs in the parent process: it is
-    cheap, global (spoof-target selection scans the whole population) and
-    identical either way.
+    The telescope/ZMap stage (5) always runs in the parent process, over the
+    spoof targets the reducer selected: it is cheap and identical either
+    way.
 
     ``scenario`` runs the campaign under a what-if
     :class:`~repro.scenarios.ScenarioSpec`: the population config is derived
@@ -175,7 +120,7 @@ class MeasurementCampaign:
         #: Shard-scan implementation (see :mod:`repro.scanners.columnar`).
         #: An explicit value is validated eagerly; ``None`` stays ``None`` so
         #: only streamed runs consult the ``REPRO_SCAN_BACKEND`` environment
-        #: knob (eager sharded runs default to the object backend).
+        #: knob (eager runs default to the object backend).
         self.scan_backend = (
             resolve_scan_backend(scan_backend) if scan_backend is not None else None
         )
@@ -226,17 +171,11 @@ class MeasurementCampaign:
         #: The campaign's scenario: explicit argument, or whatever the
         #: population config embeds (``None`` means plain baseline).
         self.scenario = scenario if scenario is not None else self.population_config.scenario
-        #: Client Initial size of the single-size analysis scan — the one
-        #: scan-side knob a scenario turns.
-        self.analysis_initial_size = (
-            self.scenario.analysis_initial_size
-            if self.scenario is not None and self.scenario.analysis_initial_size is not None
-            else DEFAULT_ANALYSIS_INITIAL_SIZE
-        )
-        #: RFC 8879 offer of the scanning client (empty at baseline, like the
-        #: paper's scanner).
-        self.analysis_compression = (
-            tuple(self.scenario.client_compression) if self.scenario is not None else ()
+        #: Client Initial size of the single-size analysis scan and the RFC
+        #: 8879 offer of the scanning client (empty at baseline, like the
+        #: paper's scanner) — the scan-side knobs a scenario turns.
+        self.analysis_initial_size, self.analysis_compression = effective_analysis(
+            self.scenario or BASELINE, DEFAULT_ANALYSIS_INITIAL_SIZE, ()
         )
         self.run_sweep = run_sweep
         self.sweep_sample_size = sweep_sample_size
@@ -251,95 +190,13 @@ class MeasurementCampaign:
 
     # -- pipeline ---------------------------------------------------------------
 
-    def run(self) -> "CampaignResults | ReducedCampaignResults":
+    def run(self) -> ReducedCampaignResults:
         if self.stream:
             return self._run_streaming()
-        if (
-            self.scan_backend == "columnar"
-            or self.workers is not None
-            or self.shard_size is not None
-        ):
-            return self._run_eager_sharded()
-        return self._run_serial()
-
-    def _run_serial(self) -> CampaignResults:
-        cache_before = flight_plan_cache_info()
-        population = self.population
-        resolver = population.build_resolver()
-        origins = population.build_origins()
-        network = population.build_network()
-
-        # 1. HTTPS certificate collection.
-        https_scanner = HttpsScanner(resolver, origins)
-        names = [(d.domain, d.rank) for d in population.deployments]
-        https_scan = https_scanner.scan(names)
-
-        # 2. QUIC handshake classification at the analysis Initial size.
-        quicreach = QuicReach(network)
-        targets = [
-            (d.domain, d.rank, d.provider)
-            for d in population.deployments
-            if d.category is ServiceCategory.QUIC
-        ]
-        handshakes = quicreach.scan_many(
-            targets, self.analysis_initial_size, compression=self.analysis_compression
-        )
-
-        # 2b. Optional full Initial-size sweep (Figure 3); sampled for speed.
-        # The sample comes from the same helper the sharded runner routes
-        # through, so serial and sharded runs sweep identical targets.
-        sweep: Optional[SweepResult] = None
-        if self.run_sweep:
-            sample = [
-                target
-                for _, target in global_sweep_sample(
-                    population.deployments, self.sweep_sample_size
-                )
-            ]
-            sweep = InitialSizeSweep(quicreach).run(sample)
-
-        # 3. Certificates over QUIC and comparison with HTTPS.
-        qscanner = QScanner(network)
-        quic_domains = [domain for domain, _, _ in targets]
-        quic_certificates = qscanner.fetch_many(quic_domains)
-        https_chains = https_scan.chains_by_requested_domain()
-        certificate_comparison = qscanner.compare_with_https(quic_certificates, https_chains)
-
-        # 4. Certificate-compression support.
-        compression_scanner = CompressionScanner(network)
-        compression = compression_scanner.scan_many(quic_domains)
-
-        # 5. Incomplete handshakes: telescope backscatter and the Meta PoP.
-        backscatter, meta_probe_before, meta_probe_after = (
-            self._run_incomplete_handshake_stage(network)
-        )
-
-        cache_after = flight_plan_cache_info()
-        flight_cache = FlightCacheInfo(
-            hits=cache_after.hits - cache_before.hits,
-            misses=cache_after.misses - cache_before.misses,
-            currsize=cache_after.currsize,
-            maxsize=cache_after.maxsize,
-        )
-
-        return CampaignResults(
-            population=population,
-            https_scan=https_scan,
-            handshakes=handshakes,
-            sweep=sweep,
-            quic_certificates=quic_certificates,
-            certificate_comparison=certificate_comparison,
-            compression=compression,
-            backscatter=backscatter,
-            meta_probe_before=meta_probe_before,
-            meta_probe_after=meta_probe_after,
-            analysis_initial_size=self.analysis_initial_size,
-            flight_cache=flight_cache,
-            scenario=self.scenario,
-        )
+        return self._run_eager_sharded()
 
     def _run_eager_sharded(self) -> ReducedCampaignResults:
-        """Eager sharded pipeline over the already-materialised population.
+        """Eager pipeline over the already-materialised population.
 
         The population is cut into shards whose tasks carry the deployments
         by value, each shard is scanned and reduced by
@@ -468,19 +325,17 @@ class MeasurementCampaign:
     def _run_incomplete_handshake_stage(
         self,
         network: UdpNetwork,
-        flight_cache=None,
-        spoof_deployments: Optional[Sequence[DomainDeployment]] = None,
-        provider_of=None,
+        flight_cache: FlightPlanCache,
+        spoof_deployments: Sequence[DomainDeployment],
+        provider_of: Callable[[str], Optional[str]],
     ):
         """Stage 5: spoofed-source campaign plus the Meta PoP probes."""
         # 5a. Spoofed handshakes observed at the telescope.
         telescope = Telescope()
         network.attach_telescope(TELESCOPE_PREFIX, telescope)
-        if spoof_deployments is None:
-            spoof_deployments = self._pick_spoof_deployments()
         spoof_targets = self._spoof_targets(network, spoof_deployments)
         simulate_spoofed_campaign(network, spoof_targets, TELESCOPE_PREFIX)
-        analyzer = BackscatterAnalyzer(telescope, provider_of or self._provider_of_domain)
+        analyzer = BackscatterAnalyzer(telescope, provider_of)
         backscatter = analyzer.analyze()
 
         # 5b. ZMap-style scan of the Meta point of presence, before and after
@@ -490,23 +345,6 @@ class MeasurementCampaign:
         return backscatter, meta_probe_before, meta_probe_after
 
     # -- helpers -----------------------------------------------------------------
-
-    def _provider_of_domain(self, domain: str) -> Optional[str]:
-        return provider_of_domain(domain, self.population.deployment)
-
-    def _pick_spoof_deployments(self) -> List[DomainDeployment]:
-        """The hypergiant-hosted services an attacker would reflect off.
-
-        First ``spoofed_targets_per_provider`` QUIC deployments per hypergiant
-        in deployment (= rank) order — the same selection (and the same code,
-        :func:`~repro.scanners.streaming.take_per_provider`) the streaming
-        reducer assembles from per-shard candidates.
-        """
-        return take_per_provider(
-            self.population.quic_services(),
-            self.spoofed_targets_per_provider,
-            SPOOF_PROVIDERS,
-        )
 
     def _spoof_targets(
         self, network: UdpNetwork, spoof_deployments: Sequence[DomainDeployment]

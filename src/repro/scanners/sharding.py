@@ -97,6 +97,22 @@ def plan_shards(total: int, shard_size: int = DEFAULT_SHARD_SIZE) -> Tuple[Shard
 # Per-shard scanning (runs inside worker processes)
 # ---------------------------------------------------------------------------
 
+def effective_analysis(
+    scenario: ScenarioSpec,
+    initial_size: int,
+    compression: Sequence[CertificateCompressionAlgorithm],
+) -> Tuple[int, Tuple[CertificateCompressionAlgorithm, ...]]:
+    """The analysis scan's Initial size and client compression offer under
+    ``scenario``: the scenario's own values where it sets them, else the given
+    ones."""
+    return (
+        scenario.analysis_initial_size
+        if scenario.analysis_initial_size is not None
+        else initial_size,
+        tuple(scenario.client_compression) or tuple(compression),
+    )
+
+
 @dataclass(frozen=True)
 class ShardTask:
     """Everything a worker needs to scan one shard, picklable as one unit.
@@ -162,18 +178,14 @@ class ShardTask:
         """
         if self.population_config is None:
             raise ValueError("grid shard tasks must carry a population config")
-        config = scenario.population_config(base=self.population_config)
+        initial_size, compression = effective_analysis(
+            scenario, self.analysis_initial_size, self.analysis_compression
+        )
         return dataclasses.replace(
             self,
-            population_config=config,
-            analysis_initial_size=(
-                scenario.analysis_initial_size
-                if scenario.analysis_initial_size is not None
-                else self.analysis_initial_size
-            ),
-            analysis_compression=(
-                tuple(scenario.client_compression) or self.analysis_compression
-            ),
+            population_config=scenario.population_config(base=self.population_config),
+            analysis_initial_size=initial_size,
+            analysis_compression=compression,
             grid_scenarios=None,
         )
 
@@ -542,9 +554,9 @@ def global_sweep_sample(
 ) -> List[Tuple[int, ScanTarget]]:
     """The sweep sample over the whole population, with deployment indices.
 
-    This is the one place the sweep's sampling stride lives: the serial
-    orchestrator and the sharded runner both call it, so they cannot drift
-    apart.  Returns ``(deployment_index, target)`` pairs — the index (not the
+    :func:`build_shard_tasks` routes it to the owning shards; the stride
+    itself comes from :func:`sweep_sample_stride`, which streamed runs share.
+    Returns ``(deployment_index, target)`` pairs — the index (not the
     rank, which hand-assembled populations may renumber or reorder) is what
     routes a sampled target to the scan shard that owns it.
     """

@@ -22,10 +22,11 @@ The streaming reduction contract (see docs/ARCHITECTURE.md):
   concatenated in index order at finalisation.  ``CampaignReducer.add`` and
   ``CampaignReducer.merge`` therefore commute, which
   ``tests/test_properties.py`` pins over random permutations and partitions.
-* **Finalisation is byte-identical to the eager path.**  Every reduced figure
-  input reproduces exactly the value the eager ``CampaignResults`` pipeline
-  computes — including float-summation order for means and stable-sort
-  tie-breaks — so ``build_report`` renders the same bytes either way
+* **Each figure fold is written once.**  ``summarize_shard`` calls the
+  figure modules' own accumulators, and each module's per-domain ``compute``
+  runs the same accumulator before its ``compute_from_*``; series whose order
+  matters keep shard-concatenation order, so means sum left to right and
+  stable sorts break ties identically whatever the sharding
   (``tests/test_streaming_reduction.py``).
 """
 
@@ -50,19 +51,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scenarios.grid import ScenarioGrid
     from ..scenarios.spec import ScenarioSpec
 
-from ..analysis.figures import figure02b, figure07, figure08, figure12, figure13, table02
+from ..analysis.figures import (
+    compression,
+    figure02b,
+    figure04,
+    figure05,
+    figure06,
+    figure07,
+    figure08,
+    figure12,
+    figure13,
+    figure14,
+    table01,
+    table02,
+)
 from ..core.limits import LARGER_COMMON_LIMIT
 from ..quic.handshake import HandshakeClass
 from ..quic.server import FlightCacheInfo
 from ..scenarios import BASELINE, BASELINE_FINGERPRINT
-from ..tls.cert_compression import (
-    CertificateCompressionAlgorithm,
-    compress_certificate_chain,
-)
+from ..tls.cert_compression import CertificateCompressionAlgorithm
 from ..webpki.deployment import DomainDeployment, ServiceCategory
 from ..webpki.population import PopulationConfig, deployments_for_range
 from ..x509.ca import default_hierarchy
-from ..x509.field_sizes import san_byte_share
 from .backscatter import ProviderBackscatter
 from .compression_scanner import ALL_ALGORITHMS
 from .https_scanner import ScanFunnel
@@ -82,6 +92,7 @@ from .sharding import (
     ShardScanResult,
     ShardTask,
     dispatch_with_retry,
+    effective_analysis,
     plan_shards,
     scan_shard,
     sweep_sample_stride,
@@ -106,9 +117,8 @@ def provider_of_domain(domain: str, deployment_lookup) -> Optional[str]:
     ``deployment_lookup`` returns the deployment (or ``None``) for a domain;
     Meta PoP service domains fall back to ``"meta"`` even when the sampled
     population holds no deployment for them (stage 5 always probes the Meta
-    /24).  Shared by the eager :class:`~repro.scanners.orchestrator.CampaignResults`
-    accessor, the campaign's stage-5 analyzer and the streaming finalisation,
-    so the three cannot drift apart.
+    /24).  Stage 5's backscatter analyzer resolves every telescope session
+    through it.
     """
     deployment = deployment_lookup(domain)
     if deployment is not None and deployment.provider is not None:
@@ -248,53 +258,26 @@ def summarize_shard(
     # Stage 2: handshake observations -> per-figure compact series.
     reachable = 0
     class_counts: Dict[HandshakeClass, int] = {}
+    for observation in scan.handshakes:
+        if observation.reachable:
+            reachable += 1
+            handshake_class = observation.handshake_class
+            if handshake_class is not None:
+                class_counts[handshake_class] = class_counts.get(handshake_class, 0) + 1
     amp_factor_counts: Dict[float, int] = {}
+    figure04.accumulate_factor_counts(scan.handshakes, amp_factor_counts)
     fig13_ranks = array("q")
     fig13_classes = bytearray()
-    fig5_tls = array("q")
-    fig5_total = array("q")
-    fig5_limit = array("q")
-    fig5_exceeds = 0
-    fig5_overhead_max = 0
-    for observation in scan.handshakes:
-        if not observation.reachable:
-            continue
-        reachable += 1
-        handshake_class = observation.handshake_class
-        if handshake_class is not None:
-            class_counts[handshake_class] = class_counts.get(handshake_class, 0) + 1
-            fig13_ranks.append(observation.rank)
-            fig13_classes.append(figure13.CLASS_CODES[handshake_class])
-        if observation.exceeds_limit:
-            factor = observation.amplification_factor
-            amp_factor_counts[factor] = amp_factor_counts.get(factor, 0) + 1
-        if handshake_class is HandshakeClass.MULTI_RTT:
-            limit = 3 * observation.initial_size
-            fig5_tls.append(observation.tls_payload_bytes)
-            fig5_total.append(observation.total_bytes)
-            fig5_limit.append(limit)
-            if observation.tls_payload_bytes > limit:
-                fig5_exceeds += 1
-            if observation.quic_overhead_bytes > fig5_overhead_max:
-                fig5_overhead_max = observation.quic_overhead_bytes
+    figure13.accumulate_series(scan.handshakes, fig13_ranks, fig13_classes)
+    fig5_tls, fig5_total, fig5_limit = array("q"), array("q"), array("q")
+    fig5_exceeds, fig5_overhead_max = figure05.accumulate_rows(
+        scan.handshakes, fig5_tls, fig5_total, fig5_limit
+    )
 
     # Stage 4: wild compression measurements.
-    wild_all_three = 0
-    wild_support_counts: Dict[CertificateCompressionAlgorithm, int] = {
-        algorithm: 0 for algorithm in ALL_ALGORITHMS
-    }
-    wild_rates: Dict[CertificateCompressionAlgorithm, array] = {
-        algorithm: array("d") for algorithm in ALL_ALGORITHMS
-    }
-    for observation in scan.compression:
-        if observation.supports_all_three:
-            wild_all_three += 1
-        for algorithm in ALL_ALGORITHMS:
-            if observation.supports(algorithm):
-                wild_support_counts[algorithm] += 1
-            rate = observation.compression_rate(algorithm)
-            if rate is not None:
-                wild_rates[algorithm].append(rate)
+    wild_support_counts, wild_rates, wild_all_three = table01.accumulate_observations(
+        scan.compression
+    )
 
     # Ground-truth reductions for the certificate/deployment figures.
     field_size_counts: Dict[str, Dict[int, int]] = {
@@ -310,18 +293,9 @@ def summarize_shard(
         field_size_counts,
     )
 
-    quic_chain_size_counts: Dict[int, int] = {}
-    for deployment in quic_deployments:
-        chain = deployment.delivered_chain
-        if chain is not None:
-            size = chain.total_size
-            quic_chain_size_counts[size] = quic_chain_size_counts.get(size, 0) + 1
-    https_chain_size_counts: Dict[int, int] = {}
-    for deployment in https_only:
-        chain = deployment.https_chain
-        if chain is not None:
-            size = chain.total_size
-            https_chain_size_counts[size] = https_chain_size_counts.get(size, 0) + 1
+    quic_chain_size_counts, https_chain_size_counts = figure06.accumulate_chain_sizes(
+        quic_deployments, https_only
+    )
 
     parent_chain_groups: Dict[str, Dict[Tuple[str, ...], figure07.ParentChainStats]] = {
         "QUIC": {},
@@ -344,31 +318,14 @@ def summarize_shard(
     table02.accumulate_key_algorithms("QUIC", quic_deployments, key_alg_counters, key_alg_totals)
     table02.accumulate_key_algorithms("HTTPS-only", https_only, key_alg_counters, key_alg_totals)
 
-    synth_rates = array("d")
-    synth_below_uncompressed = synth_below_compressed = synth_count = 0
-    for deployment in quic_deployments:
-        chain = deployment.delivered_chain
-        if chain is None:
-            continue
-        result = compress_certificate_chain(
-            [certificate.der for certificate in chain], spec.compression_algorithm
+    synth_rates, synth_below_uncompressed, synth_below_compressed, synth_count = (
+        compression.accumulate_synthetic(
+            quic_deployments, spec.compression_algorithm, spec.limit_bytes
         )
-        synth_rates.append(result.ratio)
-        synth_count += 1
-        if result.uncompressed_size <= spec.limit_bytes:
-            synth_below_uncompressed += 1
-        if result.compressed_size <= spec.limit_bytes:
-            synth_below_compressed += 1
+    )
 
-    fig14_leaf_sizes = array("q")
-    fig14_san_shares = array("d")
-    for deployment in quic_deployments:
-        chain = deployment.delivered_chain
-        if chain is None:
-            continue
-        leaf = chain.leaf
-        fig14_leaf_sizes.append(leaf.size)
-        fig14_san_shares.append(san_byte_share(leaf))
+    fig14_leaf_sizes, fig14_san_shares = array("q"), array("d")
+    figure14.accumulate_points(quic_deployments, fig14_leaf_sizes, fig14_san_shares)
 
     # Spoof-target candidates, capped per provider (the parent re-applies the
     # cap over the shard-ordered concatenation, so shipping up to the cap per
@@ -404,10 +361,7 @@ def summarize_shard(
         wild_all_three=wild_all_three,
         wild_support_counts=wild_support_counts,
         wild_rates=wild_rates,
-        category_runs=figure12.rank_runs(
-            [deployment.rank for deployment in deployments],
-            bytes(figure12.CATEGORY_CODES[deployment.category] for deployment in deployments),
-        ),
+        category_runs=figure12.category_runs(deployments),
         field_size_counts=field_size_counts,
         certificate_count=certificate_count,
         quic_chain_size_counts=quic_chain_size_counts,
@@ -1016,19 +970,18 @@ class CampaignReducer:
 
 
 # ---------------------------------------------------------------------------
-# The streamed campaign result (what build_report consumes)
+# The campaign result (what build_report consumes)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ReducedCampaignResults:
-    """A full campaign's results in reduced (streaming) form.
+    """A full campaign's results: what every campaign path returns.
 
-    The streaming counterpart of
-    :class:`repro.scanners.orchestrator.CampaignResults`:
-    :func:`repro.analysis.report.build_report` accepts either and renders
-    byte-identical reports.  Stage 5 (backscatter, Meta PoP) runs in the
-    parent over the reduced spoof-target deployments and is therefore carried
-    at full fidelity, like the (small, sampled) sweep.
+    Stages 1–4 arrive reduced (:class:`ReducedScanResults`);
+    :func:`repro.analysis.report.build_report` renders them.  Stage 5
+    (backscatter, Meta PoP) runs in the parent over the reduced spoof-target
+    deployments and is therefore carried at full fidelity, like the (small,
+    sampled) sweep.
     """
 
     scan: ReducedScanResults
@@ -1042,7 +995,7 @@ class ReducedCampaignResults:
     #: non-identity scenarios are stamped into the report header.
     scenario: Optional["ScenarioSpec"] = None
 
-    # -- convenience accessors mirroring CampaignResults ----------------------
+    # -- convenience accessors ------------------------------------------------
 
     @property
     def quic_count(self) -> int:
@@ -1342,12 +1295,18 @@ def run_streaming_scan(
     scenario = config.scenario or BASELINE
 
     def bind(store: CheckpointStore) -> None:
+        initial_size, compression = effective_analysis(
+            scenario, analysis_initial_size, analysis_compression
+        )
         store.bind_campaign(
             config,
             shard_size,
             run_sweep=run_sweep,
             sweep_sample_size=sweep_sample_size,
             spoof_limit_per_provider=spec.spoof_limit_per_provider,
+            analysis_initial_size=initial_size,
+            analysis_compression=compression,
+            sweep_initial_sizes=sweep_initial_sizes,
         )
 
     scans = _run_shards(

@@ -10,7 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro.quic.client import QuicClientConfig
-from repro.scanners.orchestrator import CampaignResults, MeasurementCampaign
+from repro.scanners.orchestrator import MeasurementCampaign
+from repro.scanners.sharding import ShardScanResult, build_shard_tasks, scan_shard
+from repro.scanners.streaming import ReducedCampaignResults
 from repro.webpki.population import InternetPopulation, PopulationConfig, generate_population
 from repro.x509.ca import WebPkiHierarchy, default_hierarchy
 
@@ -35,16 +37,36 @@ def small_population() -> InternetPopulation:
     return generate_population(PopulationConfig(size=1500, seed=42))
 
 
+#: Sweep sample size of the fixture campaign (and of ``shard_scan``).
+SWEEP_SAMPLE_SIZE = 120
+
+
 @pytest.fixture(scope="session")
-def campaign_results(small_population: InternetPopulation) -> CampaignResults:
+def campaign_results(small_population: InternetPopulation) -> ReducedCampaignResults:
     """A full campaign over the small population, with a sampled sweep."""
     campaign = MeasurementCampaign(
         population=small_population,
         run_sweep=True,
-        sweep_sample_size=120,
+        sweep_sample_size=SWEEP_SAMPLE_SIZE,
         spoofed_targets_per_provider=25,
     )
     return campaign.run()
+
+
+@pytest.fixture(scope="session")
+def shard_scan(small_population: InternetPopulation) -> ShardScanResult:
+    """Per-domain stages 1–4 over the whole small population as one shard.
+
+    The object scan of a single by-value task with the campaign's sweep
+    sample: the observations ``campaign_results`` reduces.
+    """
+    (task,) = build_shard_tasks(
+        small_population.deployments,
+        shard_size=len(small_population.deployments),
+        run_sweep=True,
+        sweep_sample_size=SWEEP_SAMPLE_SIZE,
+    )
+    return scan_shard(task)
 
 
 @pytest.fixture(scope="session")

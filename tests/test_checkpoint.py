@@ -28,8 +28,10 @@ from repro.scanners.checkpoint import (
     encode_checkpoint,
 )
 from repro.scanners.faults import corrupt_file, truncate_file
+from repro.scanners.streaming import run_streaming_scan
 from repro.scenarios import BUILTIN_SCENARIOS
 from repro.scenarios.grid import ScenarioGrid
+from repro.tls.cert_compression import CertificateCompressionAlgorithm
 from repro.webpki.population import PopulationConfig
 
 POPULATION_SIZE = 360
@@ -291,6 +293,38 @@ class TestResumeUnderChangedKnobs:
             MeasurementCampaign(
                 population_config=config, checkpoint_dir=str(tmp_path), resume=True, **kwargs
             ).run()
+
+    def test_changed_analysis_knobs_are_rejected(self, config, tmp_path):
+        """The API-only scan knobs are bound too: a resume at another analysis
+        Initial size used to fold in the old summaries and return the old
+        class counts."""
+        run_streaming_scan(config, shard_size=SHARD_SIZE, checkpoint_dir=str(tmp_path))
+        with pytest.raises(CheckpointError, match="analysis_initial_size"):
+            run_streaming_scan(
+                config,
+                shard_size=SHARD_SIZE,
+                checkpoint_dir=str(tmp_path),
+                resume=True,
+                analysis_initial_size=1200,
+            )
+        store = CheckpointStore(str(tmp_path))
+        with pytest.raises(CheckpointError, match="analysis_compression"):
+            store.bind_campaign(
+                config,
+                SHARD_SIZE,
+                spoof_limit_per_provider=60,
+                analysis_compression=(CertificateCompressionAlgorithm.BROTLI,),
+            )
+        sweeping = CheckpointStore(str(tmp_path / "sweep"))
+        sweeping.bind_campaign(config, SHARD_SIZE, run_sweep=True, sweep_sample_size=20)
+        with pytest.raises(CheckpointError, match="sweep_initial_sizes"):
+            sweeping.bind_campaign(
+                config,
+                SHARD_SIZE,
+                run_sweep=True,
+                sweep_sample_size=20,
+                sweep_initial_sizes=(1200, 1472),
+            )
 
     def test_metadata_without_the_new_fields_is_rejected(self, config, tmp_path):
         (tmp_path / "campaign.json").write_text(

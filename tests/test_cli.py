@@ -79,6 +79,20 @@ class TestCommands:
         assert "run_sweep" in capsys.readouterr().err
         assert not (tmp_path / "sweep.txt").exists()
 
+    def test_eager_timings_split_generation_from_campaign(self, tmp_path, capsys):
+        output = ["--output", str(tmp_path / "report.txt")]
+        assert main(["campaign", "--size", "300", "--timings"] + output) == 0
+        lines = [line.split(":")[0] for line in capsys.readouterr().err.splitlines()]
+        assert lines == ["population generation", "campaign", "report"]
+
+    def test_streamed_timings_report_generation_inside_the_campaign(self, tmp_path, capsys):
+        """Regression: streamed runs printed a 0.00 s generation phase, though
+        their shards generate inside the campaign phase."""
+        output = ["--output", str(tmp_path / "report.txt")]
+        assert main(["campaign", "--size", "300", "--stream", "--timings"] + output) == 0
+        lines = [line.split(":")[0] for line in capsys.readouterr().err.splitlines()]
+        assert lines == ["generation + campaign", "report"]
+
     def test_predict_initial_size_moves_the_class(self, capsys):
         chain = "Let's Encrypt R3 + root X1"
         assert main(["predict", "--chain", chain, "--initial-size", "1200"]) == 0

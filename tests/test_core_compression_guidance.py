@@ -15,9 +15,9 @@ class TestCompressionStudy:
         assert result.chain_count == 0
         assert result.median_compression_rate == 0.0
 
-    def test_study_over_population_matches_paper(self, campaign_results):
+    def test_study_over_population_matches_paper(self, small_population):
         chains = [
-            d.delivered_chain for d in campaign_results.quic_deployments() if d.delivered_chain
+            d.delivered_chain for d in small_population.quic_services() if d.delivered_chain
         ][:250]
         result = run_compression_study(chains)
         # Paper: ≈65 % median rate, ≈99 % of chains below the limit once compressed.
@@ -27,16 +27,16 @@ class TestCompressionStudy:
         assert result.share_rescued >= 0.0
         assert result.limit_bytes == LARGER_COMMON_LIMIT
 
-    def test_as_dict_keys(self, campaign_results):
+    def test_as_dict_keys(self, small_population):
         chains = [
-            d.delivered_chain for d in campaign_results.quic_deployments() if d.delivered_chain
+            d.delivered_chain for d in small_population.quic_services() if d.delivered_chain
         ][:20]
         result = run_compression_study(chains)
         assert result.as_dict()["algorithm"] == "brotli"
 
-    def test_all_algorithms_study(self, campaign_results):
+    def test_all_algorithms_study(self, small_population):
         chains = [
-            d.delivered_chain for d in campaign_results.quic_deployments() if d.delivered_chain
+            d.delivered_chain for d in small_population.quic_services() if d.delivered_chain
         ][:40]
         results = run_all_algorithms(chains)
         assert set(results) == set(CertificateCompressionAlgorithm)

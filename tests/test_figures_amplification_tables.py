@@ -55,9 +55,9 @@ class TestFigure11:
 
 
 class TestTable01:
-    def test_browser_rows_and_support(self, campaign_results):
-        result = table01.compute(campaign_results.compression)
-        assert result.scanned_services == len(campaign_results.compression)
+    def test_browser_rows_and_support(self, shard_scan):
+        result = table01.compute(shard_scan.compression)
+        assert result.scanned_services == len(shard_scan.compression)
         brotli = CertificateCompressionAlgorithm.BROTLI
         assert result.support_shares[brotli] == pytest.approx(0.96, abs=0.05)
         assert result.mean_rates[brotli] == pytest.approx(0.73, abs=0.10)
@@ -77,7 +77,7 @@ class TestTable03:
 class TestFunnel:
     def test_funnel_shares(self, campaign_results):
         result = funnel.compute(
-            campaign_results.https_scan.funnel, len(campaign_results.quic_deployments())
+            campaign_results.https_funnel, campaign_results.quic_count
         )
         assert result.resolved_share == pytest.approx(0.976, abs=0.03)
         assert result.a_record_share == pytest.approx(0.866, abs=0.05)
@@ -87,9 +87,9 @@ class TestFunnel:
 
 
 class TestCompressionExperiment:
-    def test_synthetic_and_wild_rates(self, campaign_results):
+    def test_synthetic_and_wild_rates(self, small_population, shard_scan):
         result = compression.compute(
-            campaign_results.quic_deployments(), campaign_results.compression
+            small_population.quic_services(), shard_scan.compression
         )
         assert 0.55 <= result.median_synthetic_rate <= 0.80   # paper: ≈65 %
         assert result.share_below_limit_compressed >= 0.97    # paper: 99 %

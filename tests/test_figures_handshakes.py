@@ -44,8 +44,8 @@ class TestFigure03:
 
 
 class TestFigure04:
-    def test_amplification_factors_small_but_above_three(self, campaign_results):
-        result = figure04.compute(campaign_results.handshakes)
+    def test_amplification_factors_small_but_above_three(self, shard_scan):
+        result = figure04.compute(shard_scan.handshakes)
         assert result.service_count > 50
         assert 3.0 < result.median < 6.0
         assert result.maximum < 8.0
@@ -58,8 +58,8 @@ class TestFigure04:
 
 
 class TestFigure05:
-    def test_tls_alone_exceeds_limit_for_most_multi_rtt(self, campaign_results):
-        result = figure05.compute(campaign_results.handshakes)
+    def test_tls_alone_exceeds_limit_for_most_multi_rtt(self, shard_scan):
+        result = figure05.compute(shard_scan.handshakes)
         assert result.handshake_count > 30
         assert result.share_tls_alone_exceeds > 0.75  # paper: 87 %
         # Entries are sorted ascending by total bytes (the ranked x-axis).
@@ -70,8 +70,8 @@ class TestFigure05:
 
 
 class TestFigure12:
-    def test_shares_stable_across_rank_groups(self, campaign_results):
-        result = figure12.compute(list(campaign_results.population.deployments))
+    def test_shares_stable_across_rank_groups(self, small_population):
+        result = figure12.compute(list(small_population.deployments))
         assert len(result.group_labels) == 10
         assert result.mean_quic_share == pytest.approx(0.21, abs=0.05)
         assert result.quic_share_stddev < 0.05  # paper: sigma = 3 percentage points
@@ -83,10 +83,10 @@ class TestFigure12:
 
 
 class TestFigure13:
-    def test_classes_stable_and_one_rtt_higher_at_top(self, campaign_results):
+    def test_classes_stable_and_one_rtt_higher_at_top(self, shard_scan):
         # Five rank groups keep the per-group sample large enough for the
         # stability check to be meaningful at the test population size.
-        result = figure13.compute(campaign_results.handshakes, group_count=5)
+        result = figure13.compute(shard_scan.handshakes, group_count=5)
         assert len(result.group_labels) >= 4
         amplification_shares = [
             result.share(label, HandshakeClass.AMPLIFICATION) for label in result.group_labels

@@ -37,11 +37,11 @@ class TestSection41HandshakeClasses:
         figure04 = report["figure04"]
         assert figure04.share_below(6.0) > 0.95
 
-    def test_cloudflare_explains_most_amplifying_handshakes(self, campaign_results):
+    def test_cloudflare_explains_most_amplifying_handshakes(self, shard_scan):
         """§4.1: 96 % of amplifying handshakes come from one provider's stack."""
         amplifying = [
-            o for o in campaign_results.reachable_handshakes()
-            if o.handshake_class is HandshakeClass.AMPLIFICATION
+            o for o in shard_scan.handshakes
+            if o.reachable and o.handshake_class is HandshakeClass.AMPLIFICATION
         ]
         cloudflare = sum(1 for o in amplifying if o.provider == "cloudflare")
         assert cloudflare / len(amplifying) > 0.9

@@ -5,16 +5,18 @@ import pytest
 from repro.analysis.report import build_report, class_shares
 from repro.quic.handshake import HandshakeClass
 from repro.scanners import MeasurementCampaign
+from repro.scanners.streaming import provider_of_domain
 from repro.webpki import PopulationConfig, generate_population
 
 
 class TestCampaignResults:
-    def test_results_are_internally_consistent(self, campaign_results):
+    def test_results_are_internally_consistent(self, campaign_results, small_population):
         results = campaign_results
-        quic_count = len(results.quic_deployments())
-        assert len(results.handshakes) == quic_count
-        assert len(results.quic_certificates) == quic_count
-        assert len(results.compression) == quic_count
+        quic_count = len(small_population.quic_services())
+        assert results.quic_count == quic_count
+        assert results.scan.handshake_total == quic_count
+        assert results.scan.quic_certificate_count == quic_count
+        assert results.scan.wild_count == quic_count
         assert results.sweep is not None
         assert len(results.meta_probe_before) == 256
         assert len(results.meta_probe_after) == 256
@@ -23,13 +25,15 @@ class TestCampaignResults:
     def test_all_quic_handshakes_reachable_at_default_size(self, campaign_results):
         # At 1362 bytes, only heavily tunnelled services could drop out; the
         # overwhelming majority must respond.
-        reachable = len(campaign_results.reachable_handshakes())
-        assert reachable / len(campaign_results.handshakes) > 0.95
+        scan = campaign_results.scan
+        assert scan.reachable_count / scan.handshake_total > 0.95
 
-    def test_provider_lookup(self, campaign_results):
-        deployment = campaign_results.quic_deployments()[0]
-        assert campaign_results.provider_of(deployment.domain) == deployment.provider
-        assert campaign_results.provider_of("definitely-not-scanned.example") is None
+    def test_provider_lookup(self, small_population):
+        deployment = small_population.quic_services()[0]
+        lookup = small_population.deployment
+        assert provider_of_domain(deployment.domain, lookup) == deployment.provider
+        assert provider_of_domain("definitely-not-scanned.example", lookup) is None
+        assert provider_of_domain("instagram.com", lookup) == "meta"
 
     def test_class_shares_sum_to_one(self, campaign_results):
         shares = class_shares(campaign_results)
@@ -40,7 +44,7 @@ class TestCampaignResults:
         population = generate_population(PopulationConfig(size=400, seed=5))
         results = MeasurementCampaign(population=population, run_sweep=False).run()
         assert results.sweep is None
-        assert len(results.handshakes) == len(results.quic_deployments())
+        assert results.scan.handshake_total == len(population.quic_services())
 
 
 class TestEvaluationReport:

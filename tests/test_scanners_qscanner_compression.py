@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.figures import table01
 from repro.netsim import IPv4Address, QuicServiceHost, UdpNetwork
 from repro.quic.profiles import CLOUDFLARE_LIKE, MVFST_LIKE, RFC_COMPLIANT_NO_COMPRESSION
 from repro.scanners import CompressionScanner, QScanner
@@ -87,17 +88,13 @@ class TestCompressionScanner:
     def test_aggregates(self, network):
         scanner = CompressionScanner(network)
         observations = scanner.scan_many(["brotli.example", "all.example", "none.example"])
-        support = CompressionScanner.support_share(observations, CertificateCompressionAlgorithm.BROTLI)
-        assert support == pytest.approx(2 / 3)
-        rate = CompressionScanner.mean_compression_rate(
-            observations, CertificateCompressionAlgorithm.BROTLI
-        )
-        assert 0.4 < rate < 0.9
-        assert CompressionScanner.mean_compression_rate([], CertificateCompressionAlgorithm.ZSTD) is None
+        brotli = CertificateCompressionAlgorithm.BROTLI
+        aggregates = table01.compute(observations)
+        assert aggregates.support_shares[brotli] == pytest.approx(2 / 3)
+        assert 0.4 < aggregates.mean_rates[brotli] < 0.9
+        assert table01.compute([]).mean_rates[CertificateCompressionAlgorithm.ZSTD] is None
 
     def test_campaign_brotli_support_matches_paper(self, campaign_results):
-        observations = campaign_results.compression
-        support = CompressionScanner.support_share(
-            observations, CertificateCompressionAlgorithm.BROTLI
-        )
+        scan = campaign_results.scan
+        support = scan.wild_support_counts[CertificateCompressionAlgorithm.BROTLI] / scan.wild_count
         assert support == pytest.approx(0.96, abs=0.04)

@@ -135,7 +135,8 @@ class TestGridMatchesIndependentCampaigns:
 
 class TestSingleCampaignIsAOneMemberGrid:
     """One shard loop: a streamed campaign, a one-member grid, an eager
-    sharded run and the serial run of one scenario are the same campaign."""
+    two-worker run and the default eager run ("serial": one worker, default
+    shard size) of one scenario are the same campaign."""
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
     def test_every_path_renders_the_same_report(self, config, name):

@@ -1,10 +1,10 @@
 """Determinism tests for eager sharded campaigns and streaming generation.
 
 The contract under test: a seeded campaign produces byte-identical results no
-matter how the work is split — serial vs. sharded, one worker vs. many
-processes, eager vs. streaming population generation.  Eager sharded runs
-reduce shard summaries like every other sharded path, so their results are
-compared as reduced counters.
+matter how the work is split — the default run (one worker, default shard
+size, called "serial" below) vs. other shard sizes, one worker vs. many
+processes, eager vs. streaming population generation.  Every campaign reduces
+shard summaries, so results are compared as reduced counters.
 """
 
 from __future__ import annotations

@@ -43,11 +43,11 @@ class TestCompression:
         assert result.compressed_size < result.uncompressed_size
         assert result.saved_bytes > 0
 
-    def test_ratio_matches_paper_band(self, campaign_results):
+    def test_ratio_matches_paper_band(self, small_population):
         """Mean compression rate over many chains lands near the paper's 65-75 %."""
         chains = [
             d.delivered_chain
-            for d in campaign_results.quic_deployments()[:150]
+            for d in small_population.quic_services()[:150]
             if d.delivered_chain is not None
         ]
         ratios = [
